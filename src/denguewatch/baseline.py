@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularDesignError, UnderdeterminedError
 from .panel import Panel, Variable
-from .risk import Lags, _panel_densities, mobility_risk
-from .errors import MissingDataError
+from .risk import Lags, input_columns, lagged_column
 
 COLUMN_NAMES = (
     "intercept",
@@ -52,46 +51,25 @@ def build_design(panel: Panel, lags: Lags, region: str):
     """
     if panel.span is None:
         raise ParameterError("panel must be aligned before building the design")
-    start, end = panel.span
+    start, _ = panel.span
     inc = panel.get(region, Variable.INCIDENCE)
     sus = panel.get(region, Variable.SUSCEPTIBLE)
     if inc is None or sus is None:
         raise ParameterError(f"incidence and susceptible series required for {region}")
-    densities = _panel_densities(panel)
-
-    rows, response, months = [], [], []
-    for k in range(end - start + 1):
-        t = start + k
-        rain = _lookup(panel, region, Variable.RAINFALL, t - lags.rain)
-        temp = _lookup(panel, region, Variable.TEMPERATURE, t - lags.temp)
-        humid = _lookup(panel, region, Variable.HUMIDITY, t - lags.humid)
-        try:
-            rmob = (
-                mobility_risk(panel.mobility, densities, region, t - lags.mobility)
-                if panel.mobility is not None
-                else None
-            )
-        except MissingDataError:
-            rmob = None
-        i_prev = inc.value_at(t - 1)
-        s_prev = sus.value_at(t - 1)
-        y = inc.value_at(t)
-        cells = (rain, temp, humid, rmob, i_prev, s_prev)
-        if y is None or any(c is None for c in cells):
-            continue
-        rows.append((1.0,) + cells)
-        response.append(y)
-        months.append(t)
-    if len(rows) < _MIN_ROWS:
+    cols = input_columns(panel, region, lags)
+    design = np.column_stack(
+        (np.ones(len(cols.rain)), cols.rain, cols.temp, cols.humid, cols.mobility,
+         cols.infected, cols.susceptible)
+    )
+    response = lagged_column(panel, region, Variable.INCIDENCE)
+    keep = ~(np.isnan(design).any(axis=1) | np.isnan(response))
+    rows = int(keep.sum())
+    if rows < _MIN_ROWS:
         raise UnderdeterminedError(
-            f"only {len(rows)} complete rows; need at least {_MIN_ROWS}"
+            f"only {rows} complete rows; need at least {_MIN_ROWS}"
         )
-    return np.array(rows, dtype=float), np.array(response, dtype=float), months
-
-
-def _lookup(panel, region, variable, t):
-    s = panel.get(region, variable)
-    return s.value_at(t) if s is not None else None
+    months = [start + int(k) for k in np.flatnonzero(keep)]
+    return design[keep], response[keep], months
 
 
 def fit_ols(design: np.ndarray, response: np.ndarray) -> GlmCoefficients:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def pearson(x, y) -> float:
     Accepts sequences that may contain None/NaN; requires >= 3 surviving
     pairs and nonzero variance on both sides.
     """
-    xa = np.array([np.nan if v is None else float(v) for v in x])
-    ya = np.array([np.nan if v is None else float(v) for v in y])
+    xa = np.asarray(x, dtype=float)  # None becomes NaN
+    ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
         raise ParameterError(f"length mismatch: {xa.size} vs {ya.size}")
     keep = ~(np.isnan(xa) | np.isnan(ya))
@@ -52,14 +53,29 @@ def pearson(x, y) -> float:
         raise CorrelationUndefinedError(
             f"need >= 3 paired observations, got {xa.size}"
         )
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = float(np.sqrt(np.sum(xc * xc)))
-    sy = float(np.sqrt(np.sum(yc * yc)))
+    xc = _unit_scaled(xa - xa.mean())
+    yc = _unit_scaled(ya - ya.mean())
+    # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
+    # terms take out the rounding error of each mean, which dominates when
+    # the spread is a few ulps of the mean; elsewhere they are below half an
+    # ulp of the sum and change nothing.
+    ex, ey, n = float(xc.sum()), float(yc.sum()), xa.size
+    sx = math.sqrt(max(float((xc * xc).sum()) - ex * ex / n, 0.0))
+    sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
     if sx == 0.0 or sy == 0.0:
         raise CorrelationUndefinedError("zero variance in at least one argument")
-    r = float(np.sum(xc * yc) / (sx * sy))
+    r = (float((xc * yc).sum()) - ex * ey / n) / (sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its max-abs into [0.5, 1).
+
+    Squaring then neither underflows nor overflows, so r stays affine
+    invariant near zero variance; a power-of-two scale is exact, so r is
+    unchanged wherever the squares were already in range.
+    """
+    return np.ldexp(v, -math.frexp(np.abs(v).max())[1])
 
 
 def _paired_arrays(a: MonthlySeries, b: MonthlySeries):

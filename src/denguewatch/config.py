@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 from pathlib import Path
 
 import yaml
@@ -85,6 +86,35 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+_LAG_NAMES = ("rain", "temp", "humid", "mobility")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_lags(lags, where: str) -> None:
+    if not isinstance(lags, dict) or set(lags) != set(_LAG_NAMES):
+        raise ConfigError(f"{where} must map exactly {', '.join(_LAG_NAMES)}, got {lags!r}")
+    for name, v in lags.items():
+        if not (_is_int(v) and v >= 0):
+            raise ConfigError(f"{where}.{name} must be an integer >= 0, got {v!r}")
+
+
+def _validate(cfg: dict) -> dict:
+    """Reject calibration and synth values of the wrong type or range."""
+    ccfg = cfg["calibration"]
+    max_lag, step = ccfg["max_lag"], ccfg["grid_step"]
+    if not (_is_int(max_lag) and max_lag >= 0):
+        raise ConfigError(f"calibration.max_lag must be an integer >= 0, got {max_lag!r}")
+    if not ((_is_int(step) or isinstance(step, float)) and math.isfinite(step) and step > 0):
+        raise ConfigError(f"calibration.grid_step must be a number > 0, got {step!r}")
+    if ccfg["lags"] is not None:
+        _check_lags(ccfg["lags"], "calibration.lags")
+    _check_lags(cfg["synth"]["lags"], "synth.lags")
+    return cfg
+
+
 def load_config(path=None) -> dict:
     """Defaults merged with the YAML file at ``path`` (if any)."""
     cfg = default_config()
@@ -99,7 +129,7 @@ def load_config(path=None) -> dict:
         return cfg
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return _merge(cfg, loaded)
+    return _validate(_merge(cfg, loaded))
 
 
 def dump_defaults() -> str:

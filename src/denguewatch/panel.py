@@ -152,14 +152,6 @@ class MobilityMatrix:
                 if not math.isfinite(w) or w < 0:
                     raise ParameterError("mobility weights must be finite and >= 0")
 
-    def weight(self, i: str, j: str) -> float:
-        try:
-            a = self.regions.index(i)
-            b = self.regions.index(j)
-        except ValueError:
-            return 0.0
-        return self.weights[a][b]
-
     @classmethod
     def from_pairs(cls, pairs: Mapping) -> "MobilityMatrix":
         regions = sorted({r for key in pairs for r in key})

@@ -25,8 +25,6 @@ class ObjectivePoint:
     d1: float
     d2: float
     rank: int = -1  # -1 = not yet ranked
-    on_front: bool = False
-    near_front: bool = False
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,6 @@ class FlaggedMonth:
     rank: int
     flag: str  # "front" or "near"
     reliability: float
-
-
-def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
-    """Minimization dominance: a is no worse in both and better in one."""
-    return (
-        a.d1 <= b.d1
-        and a.d2 <= b.d2
-        and (a.d1 < b.d1 or a.d2 < b.d2)
-    )
 
 
 def rank_points(points) -> list:
@@ -62,30 +51,13 @@ def rank_points(points) -> list:
     le = (d1[:, None] <= d1[None, :]) & (d2[:, None] <= d2[None, :])
     strict = (d1[:, None] < d1[None, :]) | (d2[:, None] < d2[None, :])
     counts = (le & strict).sum(axis=0)
-    return [
-        replace(
-            p,
-            rank=int(c),
-            on_front=bool(c == 0),
-            near_front=False,
-        )
-        for p, c in zip(points, counts)
-    ]
+    return [replace(p, rank=int(c)) for p, c in zip(points, counts)]
 
 
 def pareto_front(points) -> list:
     """The rank-0 (non-dominated) points, sorted by month."""
     ranked = rank_points(points)
     return sorted((p for p in ranked if p.rank == 0), key=lambda p: p.t)
-
-
-def near_front(points, rank_threshold: int = DEFAULT_RANK_THRESHOLD) -> list:
-    """Points with rank in 1..rank_threshold, sorted by month."""
-    if rank_threshold < 1:
-        raise ParameterError(f"rank_threshold must be >= 1, got {rank_threshold}")
-    ranked = rank_points(points)
-    chosen = [p for p in ranked if 1 <= p.rank <= rank_threshold]
-    return sorted((replace(p, near_front=True) for p in chosen), key=lambda p: p.t)
 
 
 def reliability(d1: float, d2: float) -> float:

@@ -41,7 +41,6 @@ from .risk import (
     MembershipFunctions,
     RiskParams,
     RiskSeries,
-    _panel_densities,
     default_mobility_c,
     mobility_risk,
     objective_space,
@@ -76,15 +75,12 @@ def load_panel(cfg: dict) -> Panel:
 
 def mobility_risk_series(panel: Panel, region: str) -> MonthlySeries:
     """R_mob over the aligned span as a series (for calibration/baseline)."""
-    start, end = panel.span
-    densities = _panel_densities(panel)
-    values = []
-    for k in range(end - start + 1):
-        try:
-            values.append(mobility_risk(panel.mobility, densities, region, start + k))
-        except Exception:
-            values.append(None)
-    return MonthlySeries(region, Variable.INCIDENCE, start, tuple(values))
+    return _as_series(mobility_risk(panel, region), region, Variable.INCIDENCE, panel.span[0])
+
+
+def _as_series(column: np.ndarray, region: str, variable: Variable, start) -> MonthlySeries:
+    values = tuple(None if np.isnan(v) else v for v in column.tolist())
+    return MonthlySeries(region, variable, start, values)
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,9 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
 
 def _mapped(series: MonthlySeries, mf: PiecewiseLinearMF) -> MonthlySeries:
-    values = tuple(None if v is None else mf.evaluate(v) for v in series.values)
-    return MonthlySeries(series.region, series.variable, series.start, values)
+    return _as_series(
+        mf.evaluate(series.to_array()), series.region, series.variable, series.start
+    )
 
 
 def membership_functions(cfg: dict, cutoffs, mobility_c: float) -> MembershipFunctions:

@@ -1,5 +1,5 @@
-"""Risk composition: mobility risk, regional potential risk, local variation,
-and the two-objective closeness space.
+"""Risk composition: lagged input columns, mobility risk, and the
+two-objective closeness space.
 
 For a target region the model maps each admissible month t to
 
@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MissingDataError, ParameterError, PipelineError
 from .fuzzy import PiecewiseLinearMF
-from .panel import MobilityMatrix, MonthIndex, MonthlySeries, Panel, Variable
+from .panel import MonthIndex, Panel, Variable
 
 
 @dataclass(frozen=True)
@@ -82,89 +85,71 @@ class RiskSeries:
     skipped: tuple = ()  # months excluded for missing lagged inputs
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+def lagged_column(panel: Panel, region: str, variable: Variable, lag: int = 0) -> np.ndarray:
+    """``variable`` of ``region`` at month t - lag, for every month t of the
+    aligned span; NaN where that month is missing or outside the series, and
+    everywhere when the region has no such series."""
+    start, end = panel.span
+    out = np.full(end - start + 1, np.nan)
+    series = panel.get(region, variable)
+    if series is not None:
+        values = series.to_array()
+        first = (start - lag) - series.start  # index of month start - lag in values
+        lo, hi = max(0, -first), min(out.size, values.size - first)
+        if lo < hi:
+            out[lo:hi] = values[first + lo : first + hi]
+    return out
 
 
-def infected_density(panel: Panel, region: str, t: MonthIndex):
-    """I(region, t) / N(region, t); None when either input is missing."""
-    inc = panel.get(region, Variable.INCIDENCE)
-    pop = panel.get(region, Variable.POPULATION)
-    if inc is None or pop is None:
-        return None
-    i, n = inc.value_at(t), pop.value_at(t)
-    if i is None or n is None or n == 0:
-        return None
-    return i / n
+def mobility_risk(panel: Panel, region: str, lag: int = 0) -> np.ndarray:
+    """R_mob(region, t - lag) = sum_j w_ij * I_j / N_j for every month t of
+    the aligned span.
 
-
-def mobility_risk(
-    mobility: MobilityMatrix, densities, region: str, t: MonthIndex
-) -> float:
-    """Mobility-weighted sum of neighbor infected densities.
-
-    ``densities`` maps region id -> callable(t) -> density or None. Zero
-    weights contribute nothing; a missing density behind a positive weight
-    raises naming (region, month).
+    Only positive weights contribute, so a region behind a zero weight may
+    lack data. A month is NaN when a region behind a positive weight has no
+    I or N then, or N = 0. A region without a mobility row gets 0.0; a panel
+    without a mobility matrix gives all-NaN.
     """
-    total = 0.0
-    for j in mobility.regions:
-        w = mobility.weight(region, j)
-        if w == 0.0:
-            continue
-        lookup = densities.get(j)
-        d = lookup(t) if lookup is not None else None
-        if d is None:
-            raise MissingDataError(
-                f"infected density missing for ({j}, {t}) with positive mobility weight"
-            )
-        total += w * d
+    start, end = panel.span
+    mobility = panel.mobility
+    if mobility is None:
+        return np.full(end - start + 1, np.nan)
+    total = np.zeros(end - start + 1)
+    if region not in mobility.regions:
+        return total
+    row = mobility.weights[mobility.regions.index(region)]
+    for j, w in zip(mobility.regions, row):
+        if w > 0.0:
+            pop = lagged_column(panel, j, Variable.POPULATION, lag)
+            pop[pop == 0.0] = np.nan
+            # Not W @ density: 0 * NaN would poison months behind zero weights.
+            total += w * (lagged_column(panel, j, Variable.INCIDENCE, lag) / pop)
     return total
 
 
-def _panel_densities(panel: Panel):
-    return {
-        r: (lambda t, _r=r: infected_density(panel, _r, t)) for r in panel.regions
-    }
+class InputColumns(NamedTuple):
+    """A target's model inputs for every month t of the aligned span, NaN
+    where the input month is missing or precedes the series."""
+
+    rain: np.ndarray  # at t - lags.rain
+    temp: np.ndarray  # at t - lags.temp
+    humid: np.ndarray  # at t - lags.humid
+    mobility: np.ndarray  # R_mob at t - lags.mobility
+    infected: np.ndarray  # at t - 1
+    susceptible: np.ndarray  # at t - 1
+    population: np.ndarray  # at t - 1
 
 
-def _memberships(panel, mfs, params, region, t):
-    """Four lagged membership degrees at month t, or None if any input is missing."""
-    lags = params.lags
-    raw = (
-        (Variable.RAINFALL, lags.rain, mfs.rain),
-        (Variable.TEMPERATURE, lags.temp, mfs.temp),
-        (Variable.HUMIDITY, lags.humid, mfs.humid),
+def input_columns(panel: Panel, region: str, lags: Lags) -> InputColumns:
+    return InputColumns(
+        lagged_column(panel, region, Variable.RAINFALL, lags.rain),
+        lagged_column(panel, region, Variable.TEMPERATURE, lags.temp),
+        lagged_column(panel, region, Variable.HUMIDITY, lags.humid),
+        mobility_risk(panel, region, lags.mobility),
+        lagged_column(panel, region, Variable.INCIDENCE, 1),
+        lagged_column(panel, region, Variable.SUSCEPTIBLE, 1),
+        lagged_column(panel, region, Variable.POPULATION, 1),
     )
-    degrees = []
-    for variable, lag, mf in raw:
-        s = panel.get(region, variable)
-        v = s.value_at(t - lag) if s is not None else None
-        if v is None:
-            return None
-        degrees.append(mf.evaluate(v))
-    if panel.mobility is None:
-        return None
-    try:
-        rmob = mobility_risk(panel.mobility, _panel_densities(panel), region, t - lags.mobility)
-    except MissingDataError:
-        return None
-    degrees.append(mfs.mobility.evaluate(rmob))
-    return tuple(degrees)
-
-
-def regional_risk(panel, mfs, params: RiskParams, region: str, t: MonthIndex):
-    """R(region, t): exponent-weighted product of lagged memberships.
-
-    Returns None (month excluded, not fatal) when a lagged input is missing.
-    """
-    degrees = _memberships(panel, mfs, params, region, t)
-    if degrees is None:
-        return None
-    r = 1.0
-    for m, c in zip(degrees, params.exponents):
-        r *= m**c
-    return _clamp01(r)
 
 
 def incidence_peak(panel: Panel, region: str) -> float:
@@ -181,31 +166,6 @@ def incidence_peak(panel: Panel, region: str) -> float:
     return peak
 
 
-def local_variation(
-    panel, params: RiskParams, region: str, t: MonthIndex, i_peak: float | None = None
-):
-    """L(region, t) from last month's susceptible and infected densities.
-
-    Susceptibles normalize by population, infected by the in-span peak count.
-    Returns None when last month's inputs are missing.
-    """
-    sus = panel.get(region, Variable.SUSCEPTIBLE)
-    inc = panel.get(region, Variable.INCIDENCE)
-    pop = panel.get(region, Variable.POPULATION)
-    if sus is None or inc is None or pop is None:
-        return None
-    s, i, n = sus.value_at(t - 1), inc.value_at(t - 1), pop.value_at(t - 1)
-    if s is None or i is None or n is None:
-        return None
-    if n == 0:
-        raise ParameterError(f"region {region} has zero population at {t - 1}")
-    if i_peak is None:
-        i_peak = incidence_peak(panel, region)
-    y_s = _clamp01(s / n)
-    y_i = _clamp01(i / i_peak)
-    return y_s * y_i
-
-
 def objective_space(
     panel: Panel, mfs: MembershipFunctions, params: RiskParams, region: str
 ) -> RiskSeries:
@@ -218,37 +178,50 @@ def objective_space(
         raise ParameterError("panel must be aligned before building objective space")
     start, end = panel.span
     i_peak = incidence_peak(panel, region)
-    months = []
-    skipped = []
-    for k in range(end - start + 1):
-        t = start + k
-        r = regional_risk(panel, mfs, params, region, t)
-        l = local_variation(panel, params, region, t, i_peak=i_peak)
-        if r is None or l is None:
-            skipped.append(t)
-            continue
-        d1 = _clamp01(1.0 - r / params.r_ideal)
-        d2 = _clamp01(1.0 - l / params.l_ideal)
-        months.append(RiskMonth(t, r, l, d1, d2))
+    cols = input_columns(panel, region, params.lags)
+    zero_pop = np.flatnonzero(
+        ~np.isnan(cols.infected) & ~np.isnan(cols.susceptible) & (cols.population == 0.0)
+    )
+    if zero_pop.size:
+        raise ParameterError(
+            f"region {region} has zero population at {start + (int(zero_pop[0]) - 1)}"
+        )
+    ok = ~np.isnan(np.column_stack(cols)).any(axis=1)
+    degrees = zip(
+        mfs.rain.evaluate(cols.rain[ok]),
+        mfs.temp.evaluate(cols.temp[ok]),
+        mfs.humid.evaluate(cols.humid[ok]),
+        mfs.mobility.evaluate(cols.mobility[ok]),
+    )
+    # Python float ** (libm pow): numpy's array ** can differ in the last bit.
+    r = np.clip(
+        [math.prod(float(m) ** c for m, c in zip(row, params.exponents)) for row in degrees],
+        0.0,
+        1.0,
+    )
+    l = np.clip(cols.susceptible[ok] / cols.population[ok], 0.0, 1.0) * np.clip(
+        cols.infected[ok] / i_peak, 0.0, 1.0
+    )
+    d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
+    d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
+    months = tuple(
+        RiskMonth(start + int(k), *row)
+        for k, row in zip(np.flatnonzero(ok), np.column_stack((r, l, d1, d2)).tolist())
+    )
     if not months:
         raise PipelineError(
             f"no admissible months for region {region} in span {start}..{end}"
         )
-    return RiskSeries(region=region, months=tuple(months), skipped=tuple(skipped))
+    skipped = tuple(start + int(k) for k in np.flatnonzero(~ok))
+    return RiskSeries(region=region, months=months, skipped=skipped)
 
 
 def default_mobility_c(panel: Panel, region: str) -> float:
     """Largest mobility risk observed over the aligned span (the normalizer C)."""
     if panel.span is None or panel.mobility is None:
         raise ParameterError("aligned panel with mobility matrix required")
-    start, end = panel.span
-    densities = _panel_densities(panel)
-    best = 0.0
-    for k in range(end - start + 1):
-        try:
-            best = max(best, mobility_risk(panel.mobility, densities, region, start + k))
-        except MissingDataError:
-            continue
+    r = mobility_risk(panel, region)
+    best = float(np.max(r, initial=0.0, where=~np.isnan(r)))
     if best <= 0:
         raise ParameterError(
             f"mobility risk never positive for region {region}; set mobility_c explicitly"

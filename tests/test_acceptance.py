@@ -25,7 +25,7 @@ from denguewatch.fuzzy import (
 )
 from denguewatch.panel import MonthIndex, MonthlySeries, Variable
 from denguewatch.pareto import ObjectivePoint, pareto_front, rank_points
-from denguewatch.risk import Lags, mobility_risk, _panel_densities
+from denguewatch.risk import Lags
 from denguewatch.synth import SplitMix64, SynthConfig, TARGET_REGION, generate
 
 T0 = MonthIndex(2010, 1)
@@ -213,13 +213,21 @@ def test_criterion_8_objective_space_contracts():
     mfs = pipeline.membership_functions(cfg, calibration.cutoffs, calibration.mobility_c)
     params = pipeline.risk_params(cfg, calibration)
     lags = calibration.lags
-    densities = _panel_densities(panel)
 
     def clamp01(x):
         return min(1.0, max(0.0, x))
 
     def value(variable, t, region=TARGET_REGION):
         return panel.get(region, variable).value_at(t)
+
+    def mobility_risk(t):
+        m = panel.mobility
+        row = m.weights[m.regions.index(TARGET_REGION)]
+        return sum(
+            w * value(Variable.INCIDENCE, t, j) / value(Variable.POPULATION, t, j)
+            for j, w in zip(m.regions, row)
+            if w > 0
+        )
 
     i_peak = max(panel.get(TARGET_REGION, Variable.INCIDENCE).values)
     assert series.months, "no emitted months"
@@ -232,9 +240,7 @@ def test_criterion_8_objective_space_contracts():
             mfs.rain.evaluate(value(Variable.RAINFALL, t - lags.rain)),
             mfs.temp.evaluate(value(Variable.TEMPERATURE, t - lags.temp)),
             mfs.humid.evaluate(value(Variable.HUMIDITY, t - lags.humid)),
-            mfs.mobility.evaluate(
-                mobility_risk(panel.mobility, densities, TARGET_REGION, t - lags.mobility)
-            ),
+            mfs.mobility.evaluate(mobility_risk(t - lags.mobility)),
         )
         r_re = 1.0
         for mu, c in zip(memberships, params.exponents):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from denguewatch.calibrate import (
     CORRELATION_FLOOR,
@@ -46,12 +46,16 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(CorrelationUndefinedError):
             pearson([1, 1, 1], [1, 2, 3])
+        with pytest.raises(CorrelationUndefinedError):  # the mean rounds to 0.1 + 1 ulp
+            pearson([0.1, 0.1, 0.1], [1, 2, 3])
 
     @given(
         st.lists(st.floats(-50, 50), min_size=4, max_size=40),
         st.floats(0.1, 10),
         st.floats(-100, 100),
     )
+    @example(xs=[0.0, 0.0, 0.0, 2.4e-160], scale=0.5, shift=0.0)  # squares underflow
+    @example(xs=[0.0, 0.0, 0.0, 2.220446049250313e-16], scale=1.0, shift=1.0)  # mean rounds
     def test_symmetric_and_affine_invariant(self, xs, scale, shift):
         rng = np.random.default_rng(7)
         ys = list(rng.normal(size=len(xs)))

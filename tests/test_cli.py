@@ -70,6 +70,30 @@ class TestBasics:
         assert "rainfall.csv" in err
 
 
+class TestConfigValidation:
+    """Bad config values fail at load time: exit 2 and one line naming the key."""
+
+    def _run(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        code, _, err = run(capsys, "--config", str(p), "calibrate", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: config: ")
+        return err
+
+    def test_non_integer_max_lag(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "calibration:\n  max_lag: six\n")
+        assert "calibration.max_lag" in err
+
+    def test_non_numeric_grid_step(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "calibration:\n  grid_step: ten\n")
+        assert "calibration.grid_step" in err
+
+    def test_partial_lags_rejected(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "calibration:\n  lags: {rain: 1}\n")
+        assert "calibration.lags" in err and "mobility" in err
+
+
 class TestSynth:
     def test_writes_expected_artifacts(self, workspace):
         _, data, _ = workspace

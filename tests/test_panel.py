@@ -132,9 +132,8 @@ class TestMobility:
         p = tmp_path / "mob.csv"
         p.write_text("from,to,weight\nWP,NB,1.5\n")
         m = load_mobility(p)
-        assert m.weight("WP", "NB") == 1.5
-        assert m.weight("NB", "WP") == 0.0
-        assert m.weight("WP", "WP") == 0.0
+        assert m.regions == ("NB", "WP")
+        assert m.weights == ((0.0, 0.0), (1.5, 0.0))
 
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "mob.csv"

@@ -104,7 +104,9 @@ class TestGenerate:
     def test_neighbor_panel_present(self):
         panel, _ = generate(SynthConfig())
         assert panel.get(NEIGHBOR_REGION, Variable.INCIDENCE) is not None
-        assert panel.mobility.weight(TARGET_REGION, NEIGHBOR_REGION) == 1.0
+        m = panel.mobility
+        row = m.weights[m.regions.index(TARGET_REGION)]
+        assert row[m.regions.index(NEIGHBOR_REGION)] == 1.0
 
     def test_noiseless_lag_recovery(self):
         lags = Lags(2, 3, 2, 1)
