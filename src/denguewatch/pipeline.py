@@ -29,7 +29,6 @@ from .fuzzy import (
 )
 from .panel import (
     MonthIndex,
-    MonthlySeries,
     Panel,
     Variable,
     align,
@@ -73,14 +72,10 @@ def load_panel(cfg: dict) -> Panel:
     return align(Panel(series=series, mobility=mobility))
 
 
-def mobility_risk_series(panel: Panel, region: str) -> MonthlySeries:
-    """R_mob over the aligned span as a series (for calibration/baseline)."""
-    return _as_series(mobility_risk(panel, region), region, Variable.INCIDENCE, panel.span[0])
-
-
-def _as_series(column: np.ndarray, region: str, variable: Variable, start) -> MonthlySeries:
-    values = tuple(None if np.isnan(v) else v for v in column.tolist())
-    return MonthlySeries(region, variable, start, values)
+def mobility_risk_series(panel: Panel, region: str) -> np.ndarray:
+    """R_mob at lag 0 over the aligned span: the mobility factor calibration
+    searches, and the column whose maximum is the default ``mobility_c``."""
+    return mobility_risk(panel, region)
 
 
 @dataclass(frozen=True)
@@ -110,11 +105,11 @@ class Calibration:
         }
 
 
-def _factor_series(panel: Panel, region: str) -> dict:
+def _factor_columns(panel: Panel, region: str) -> dict:
     return {
-        "rain": panel.require(region, Variable.RAINFALL),
-        "temp": panel.require(region, Variable.TEMPERATURE),
-        "humid": panel.require(region, Variable.HUMIDITY),
+        "rain": panel.require(region, Variable.RAINFALL).to_array(),
+        "temp": panel.require(region, Variable.TEMPERATURE).to_array(),
+        "humid": panel.require(region, Variable.HUMIDITY).to_array(),
         "mobility": mobility_risk_series(panel, region),
     }
 
@@ -125,32 +120,28 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
     region = cfg["region"]
     ccfg = cfg["calibration"]
     max_lag = ccfg["max_lag"]
-    incidence = panel.require(region, Variable.INCIDENCE)
-    factors = _factor_series(panel, region)
+    incidence = panel.require(region, Variable.INCIDENCE).to_array()
+    factors = _factor_columns(panel, region)
 
     correlations = {}
     if ccfg["lags"] is not None:
         lags = Lags(**{k: int(v) for k, v in ccfg["lags"].items()})
-        for name, s in factors.items():
-            fa, ia = cal._paired_arrays(
-                cal.lag_shift(s, getattr(lags, name)), incidence
-            )
-            correlations[name] = cal.pearson(fa, ia)
+        for name, column in factors.items():
+            pair = cal.lagged_pair(column, incidence, getattr(lags, name))
+            correlations[name] = cal.pearson(*pair)
     else:
         chosen = {}
-        for name, s in factors.items():
-            result = cal.best_lag(s, incidence, max_lag)
+        for name, column in factors.items():
+            result = cal.best_lag(column, incidence, max_lag)
             chosen[name] = result.lag_months
             correlations[name] = result.correlation
         lags = Lags(**chosen)
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
-        ra, ia = cal._paired_arrays(
-            cal.lag_shift(factors["rain"], lags.rain), incidence
-        )
-        z = np.where(np.isnan(ra), np.nan, ((ra >= r_min) & (ra <= r_max)).astype(float))
-        cutoffs = cal.CutoffResult(r_min, r_max, cal.pearson(z, ia))
+        band = cal.band_indicator(factors["rain"], r_min, r_max)
+        r = cal.pearson(*cal.lagged_pair(band, incidence, lags.rain))
+        cutoffs = cal.CutoffResult(r_min, r_max, r)
     else:
         cutoffs = cal.rainfall_cutoffs(
             factors["rain"], incidence, lags.rain, ccfg["grid_step"]
@@ -158,7 +149,7 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
     mobility_c = cfg["risk"]["mobility_c"]
     if mobility_c is None:
-        mobility_c = default_mobility_c(panel, region)
+        mobility_c = default_mobility_c(factors["mobility"], region)
     mobility_c = float(mobility_c)
 
     if ccfg["exponents"] is not None:
@@ -167,21 +158,10 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
             raise ConfigError("calibration.exponents needs exactly 4 values")
     else:
         mfs = membership_functions(cfg, cutoffs, mobility_c)
-        member = [
-            _mapped(factors["rain"], mfs.rain),
-            _mapped(factors["temp"], mfs.temp),
-            _mapped(factors["humid"], mfs.humid),
-            _mapped(factors["mobility"], mfs.mobility),
-        ]
+        member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]
         exponents = cal.estimate_exponents(member, incidence, max_lag)
 
     return Calibration(lags, correlations, cutoffs, exponents, mobility_c)
-
-
-def _mapped(series: MonthlySeries, mf: PiecewiseLinearMF) -> MonthlySeries:
-    return _as_series(
-        mf.evaluate(series.to_array()), series.region, series.variable, series.start
-    )
 
 
 def membership_functions(cfg: dict, cutoffs, mobility_c: float) -> MembershipFunctions:

@@ -216,12 +216,10 @@ def objective_space(
     return RiskSeries(region=region, months=months, skipped=skipped)
 
 
-def default_mobility_c(panel: Panel, region: str) -> float:
-    """Largest mobility risk observed over the aligned span (the normalizer C)."""
-    if panel.span is None or panel.mobility is None:
-        raise ParameterError("aligned panel with mobility matrix required")
-    r = mobility_risk(panel, region)
-    best = float(np.max(r, initial=0.0, where=~np.isnan(r)))
+def default_mobility_c(r_mob: np.ndarray, region: str) -> float:
+    """Largest mobility risk in ``r_mob``, the region's R_mob column over the
+    aligned span, skipping NaN months (the normalizer C)."""
+    best = float(np.max(r_mob, initial=0.0, where=~np.isnan(r_mob)))
     if best <= 0:
         raise ParameterError(
             f"mobility risk never positive for region {region}; set mobility_c explicitly"

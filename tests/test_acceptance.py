@@ -23,7 +23,7 @@ from denguewatch.fuzzy import (
     rainfall_mf_from_cutoffs,
     temperature_mf_default,
 )
-from denguewatch.panel import MonthIndex, MonthlySeries, Variable
+from denguewatch.panel import MonthIndex, Variable
 from denguewatch.pareto import ObjectivePoint, pareto_front, rank_points
 from denguewatch.risk import Lags
 from denguewatch.synth import SplitMix64, SynthConfig, TARGET_REGION, generate
@@ -85,9 +85,9 @@ def test_criterion_3_planted_lag_recovery():
     }
 
     def recovered(panel, planted):
-        inc = panel.get(TARGET_REGION, Variable.INCIDENCE)
+        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).to_array()
         for name, key in factor_vars.items():
-            if best_lag(panel.get(*key), inc).lag_months != getattr(planted, name):
+            if best_lag(panel.get(*key).to_array(), inc).lag_months != getattr(planted, name):
                 return False
         return True
 
@@ -118,9 +118,7 @@ def test_criterion_4_rainfall_cutoff_recovery():
     inc_vals = [0.0] * n
     for t in range(lag, n):
         inc_vals[t] = 1.0 if 150.0 <= rain_vals[t - lag] <= 350.0 else 0.0
-    rain = MonthlySeries("WP", Variable.RAINFALL, T0, tuple(rain_vals))
-    inc = MonthlySeries("WP", Variable.INCIDENCE, T0, tuple(inc_vals))
-    result = rainfall_cutoffs(rain, inc, lag=lag, grid_step=10.0)
+    result = rainfall_cutoffs(np.array(rain_vals), np.array(inc_vals), lag=lag, grid_step=10.0)
     assert abs(result.r_min - 150.0) <= 10.0, f"r_min {result.r_min}"
     assert abs(result.r_max - 350.0) <= 10.0, f"r_max {result.r_max}"
     print(f"PASS criterion 4: cutoffs ({result.r_min}, {result.r_max}) within 10 mm of (150, 350)")

@@ -7,6 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from denguewatch.calibrate import (
     CORRELATION_FLOOR,
     DEFAULT_LAGS,
+    DEFAULT_MAX_LAG,
+    CutoffResult,
+    LagResult,
+    _band_scores,
     best_lag,
     estimate_exponents,
     exponents_from_correlations,
@@ -18,12 +22,107 @@ from denguewatch.errors import (
     CorrelationUndefinedError,
     ParameterError,
 )
-from denguewatch.panel import MonthIndex, MonthlySeries, Variable
 from denguewatch.synth import SplitMix64
 
+TIE_EPS = 1e-12
 
-def series(values, variable=Variable.RAINFALL, start=MonthIndex(2010, 1)):
-    return MonthlySeries("WP", variable, start, tuple(values))
+
+def column(values):
+    return np.array(values, dtype=float)
+
+
+def shifted(values, k):
+    """values[t - k] at month t, NaN for the first k months."""
+    if k < 0:
+        raise ParameterError(f"lag must be >= 0, got {k}")
+    values = column(values)
+    n = values.size
+    return np.concatenate((np.full(min(k, n), np.nan), values[: max(n - k, 0)]))
+
+
+def reference_best_lag(factor, incidence, max_lag=DEFAULT_MAX_LAG):
+    """The per-lag loop: correlate the NaN-shifted factor at every lag."""
+    if max_lag < 0:
+        raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
+    best = None
+    last_error = None
+    for k in range(max_lag + 1):
+        try:
+            r = pearson(shifted(factor, k), incidence)
+        except CorrelationUndefinedError as exc:
+            last_error = exc
+            continue
+        if best is None or abs(r) > abs(best.correlation) + TIE_EPS:
+            best = LagResult(k, r)
+    if best is None:
+        raise last_error if last_error is not None else CorrelationUndefinedError(
+            "no lag produced a defined correlation"
+        )
+    return best
+
+
+def reference_rainfall_cutoffs(rain, incidence, lag, grid_step=10.0):
+    """The exhaustive loop: one pearson call per (r_min, r_max) pair."""
+    if grid_step <= 0:
+        raise ParameterError(f"grid_step must be > 0, got {grid_step}")
+    ra, ia = shifted(rain, lag), column(incidence)
+    present = ra[~np.isnan(ra)]
+    if present.size == 0:
+        raise CalibrationError("rain series has no present values after lagging")
+    lo, hi = float(present.min()), float(present.max())
+    if lo == hi:
+        raise CalibrationError("rainfall series is constant; cutoffs undefined")
+    first = int(np.ceil(lo / grid_step))
+    last = int(np.floor(hi / grid_step))
+    grid = [k * grid_step for k in range(first, last + 1)]
+    if len(grid) < 2:
+        raise CalibrationError(
+            f"empty grid: step {grid_step} leaves {len(grid)} point(s) in [{lo}, {hi}]"
+        )
+    best = None
+    for ai, a in enumerate(grid):
+        for b in grid[ai + 1 :]:
+            z = ((ra >= a) & (ra <= b)).astype(float)
+            z[np.isnan(ra)] = np.nan
+            try:
+                r = pearson(z, ia)
+            except CorrelationUndefinedError:
+                continue
+            if best is None:
+                best = CutoffResult(a, b, r)
+                continue
+            if r > best.correlation + TIE_EPS:
+                best = CutoffResult(a, b, r)
+            elif abs(r - best.correlation) <= TIE_EPS:
+                width, best_width = b - a, best.r_max - best.r_min
+                if width > best_width + TIE_EPS or (
+                    abs(width - best_width) <= TIE_EPS and a < best.r_min
+                ):
+                    best = CutoffResult(a, b, r)
+    if best is None:
+        raise CalibrationError("no cutoff pair produced a defined correlation")
+    return best
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the calibration error raised."""
+    try:
+        return fn(*args)
+    except (CalibrationError, CorrelationUndefinedError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+# xs and shift share one dyadic grid 2**-q and scale is a power of two, so
+# scale*x + shift is exact: the test checks pearson, not the rounding of the
+# transform (a rounded transform can change r: [0, 0, 1e-16, 2**-52] + 1).
+_GRID_EXPONENT = st.shared(st.integers(0, 1000), key="dyadic-grid")
+power_of_two = st.integers(-4, 4).map(lambda e: math.ldexp(1.0, e))
+
+
+def on_grid(bound):
+    return _GRID_EXPONENT.flatmap(
+        lambda q: st.integers(-bound, bound).map(lambda m: math.ldexp(m, -q))
+    )
 
 
 class TestPearson:
@@ -49,11 +148,7 @@ class TestPearson:
         with pytest.raises(CorrelationUndefinedError):  # the mean rounds to 0.1 + 1 ulp
             pearson([0.1, 0.1, 0.1], [1, 2, 3])
 
-    @given(
-        st.lists(st.floats(-50, 50), min_size=4, max_size=40),
-        st.floats(0.1, 10),
-        st.floats(-100, 100),
-    )
+    @given(st.lists(on_grid(2**31), min_size=4, max_size=40), power_of_two, on_grid(2**31))
     @example(xs=[0.0, 0.0, 0.0, 2.4e-160], scale=0.5, shift=0.0)  # squares underflow
     @example(xs=[0.0, 0.0, 0.0, 2.220446049250313e-16], scale=1.0, shift=1.0)  # mean rounds
     def test_symmetric_and_affine_invariant(self, xs, scale, shift):
@@ -79,8 +174,8 @@ class TestBestLag:
     def test_zero_lag_identity(self):
         rng = np.random.default_rng(1)
         values = list(rng.uniform(1, 9, size=40))
-        f = series(values)
-        inc = series(values, Variable.INCIDENCE)
+        f = column(values)
+        inc = column(values)
         result = best_lag(f, inc, max_lag=6)
         assert result.lag_months == 0
         assert result.correlation == pytest.approx(1.0)
@@ -89,9 +184,8 @@ class TestBestLag:
     def test_recovers_planted_lag(self, k):
         rng = np.random.default_rng(42)
         base = list(rng.normal(size=60))
-        f = series(base)
-        shifted = [0.0] * k + base[: 60 - k]
-        inc = series(shifted, Variable.TEMPERATURE)
+        f = column(base)
+        inc = column([0.0] * k + base[: 60 - k])
         result = best_lag(f, inc, max_lag=6)
         assert result.lag_months == k
         assert abs(result.correlation) == pytest.approx(1.0)
@@ -99,16 +193,15 @@ class TestBestLag:
     def test_negative_association_still_found(self):
         rng = np.random.default_rng(3)
         base = list(rng.normal(size=50))
-        f = series(base)
-        inc_vals = [0.0] * 2 + [-v for v in base[:48]]
-        inc = series(inc_vals, Variable.TEMPERATURE)
+        f = column(base)
+        inc = column([0.0] * 2 + [-v for v in base[:48]])
         result = best_lag(f, inc, max_lag=6)
         assert result.lag_months == 2
         assert result.correlation == pytest.approx(-1.0)
 
     def test_propagates_undefined(self):
-        f = series([1.0] * 20)
-        inc = series(list(range(20)), Variable.INCIDENCE)
+        f = column([1.0] * 20)
+        inc = column(range(20))
         with pytest.raises(CorrelationUndefinedError):
             best_lag(f, inc, max_lag=3)
 
@@ -120,10 +213,7 @@ class TestRainfallCutoffs:
         inc_vals = [0.0] * n
         for t in range(lag, n):
             inc_vals[t] = 1.0 if 150.0 <= rain_vals[t - lag] <= 350.0 else 0.0
-        return (
-            series(rain_vals),
-            series(inc_vals, Variable.INCIDENCE),
-        )
+        return column(rain_vals), column(inc_vals)
 
     def test_planted_band_recovered(self):
         rain, inc = self._planted_band()
@@ -132,8 +222,8 @@ class TestRainfallCutoffs:
         assert abs(result.r_max - 350.0) <= 10.0
 
     def test_constant_rain_errors(self):
-        rain = series([100.0] * 40)
-        inc = series(list(range(40)), Variable.INCIDENCE)
+        rain = column([100.0] * 40)
+        inc = column(range(40))
         with pytest.raises(CalibrationError):
             rainfall_cutoffs(rain, inc, lag=0)
 
@@ -146,6 +236,137 @@ class TestRainfallCutoffs:
         rain, inc = self._planted_band()
         with pytest.raises(ParameterError):
             rainfall_cutoffs(rain, inc, lag=2, grid_step=0.0)
+
+
+PANEL_KINDS = (
+    "random", "planted", "noisy", "gaps", "constant", "huge_offset", "tiny", "ties",
+    "short",
+)
+
+
+def oracle_panel(kind, seed):
+    """Seeded (rain, incidence, lag) of one kind, for the oracle tests."""
+    rng = np.random.default_rng([seed, PANEL_KINDS.index(kind)])
+    lag = int(rng.integers(0, 7))
+    n = lag + int(rng.integers(1, 3)) if kind == "short" else int(rng.integers(40, 100))
+    rain = rng.uniform(0.0, 600.0, size=n)
+    if kind == "ties":  # few rain values, so many grid pairs share a band
+        rain = rng.choice([40.0, 120.0, 200.0, 260.0, 330.0, 410.0], size=n)
+    planted = shifted((rain >= 150.0) & (rain <= 350.0), lag)
+    planted[:lag] = 0.0
+    inc = {
+        "random": rng.poisson(20.0, size=n).astype(float),
+        "planted": 10.0 + 90.0 * planted,
+        "noisy": 10.0 + 90.0 * planted + rng.normal(0.0, 20.0, size=n),
+        "gaps": 10.0 + 90.0 * planted + rng.normal(0.0, 5.0, size=n),
+        "constant": np.full(n, 7.0),
+        "huge_offset": 1e8 + (rng.permutation(n) if seed % 2 else np.arange(n)) * 1e-7,
+        "tiny": 1e-300 * (1.0 + planted + rng.uniform(size=n)),  # squares underflow
+        "ties": 3.0 * planted,
+        "short": rng.poisson(20.0, size=n).astype(float),
+    }[kind]
+    if kind == "gaps":
+        rain[rng.uniform(size=n) < 0.15] = np.nan
+        inc[rng.uniform(size=n) < 0.15] = np.nan
+    return rain, inc, lag
+
+
+@st.composite
+def drawn_panels(draw):
+    """Short panels with repeated rain values, integer or real incidence and
+    missing months, so exact ties and undefined pairs are common."""
+    n = draw(st.integers(0, 40))
+    rain_value = st.one_of(
+        st.sampled_from([10.0, 35.0, 60.0, 110.0, 180.0, 250.0]),
+        st.floats(0.0, 300.0),
+        st.just(math.nan),
+    )
+    inc_value = st.one_of(
+        st.integers(0, 30).map(float), st.floats(0.0, 1e4), st.just(math.nan)
+    )
+    rain = draw(st.lists(rain_value, min_size=n, max_size=n))
+    inc = draw(st.lists(inc_value, min_size=n, max_size=n))
+    return column(rain), column(inc)
+
+
+class TestSearchMatchesLoops:
+    """The closed-form cutoff search and the sliced lag search give the same
+    result, or the same error, as the per-pair and per-lag loops."""
+
+    @pytest.mark.parametrize("kind", PANEL_KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_panels(self, kind, seed):
+        rain, inc, lag = oracle_panel(kind, seed)
+        grid_step = (10.0, 25.0, 15.0, 10)[seed]
+        assert outcome(rainfall_cutoffs, rain, inc, lag, grid_step) == outcome(
+            reference_rainfall_cutoffs, rain, inc, lag, grid_step
+        )
+        assert outcome(best_lag, rain, inc, seed + 3) == outcome(
+            reference_best_lag, rain, inc, seed + 3
+        )
+
+    @pytest.mark.parametrize("kind", PANEL_KINDS)
+    def test_closed_form_scores_are_pearsons(self, kind):
+        """Every band of the months sorted by rain scores pearson's r to
+        1e-12, and is undefined exactly where pearson raises."""
+        rain, inc, _ = oracle_panel(kind, 1)
+        keep = ~(np.isnan(rain) | np.isnan(inc))
+        x, y = rain[keep], inc[keep]
+        order = np.argsort(x)
+        lo, hi = np.triu_indices(x.size + 1)
+        scores = _band_scores(y, order, lo, hi)
+        for a, b, score in zip(lo, hi, scores):
+            z = np.zeros(x.size)
+            z[order[a:b]] = 1.0
+            try:
+                r = pearson(z, y)
+            except CorrelationUndefinedError:
+                assert score == -np.inf
+            else:
+                assert score == pytest.approx(r, abs=1e-12)
+
+    def test_every_pair_undefined_on_constant_incidence(self):
+        rain, inc, lag = oracle_panel("constant", 0)
+        with pytest.raises(CalibrationError, match="no cutoff pair"):
+            rainfall_cutoffs(rain, inc, lag)
+
+    def test_exact_ties_keep_widest_then_lowest_band(self):
+        rain = column([40.0, 120.0, 200.0, 260.0, 330.0, 410.0] * 5)
+        inc = column([0.0, 0.0, 1.0, 1.0, 0.0, 0.0] * 5)
+        result = rainfall_cutoffs(rain, inc, 0, grid_step=5.0)
+        assert result == reference_rainfall_cutoffs(rain, inc, 0, grid_step=5.0)
+        assert (result.r_min, result.r_max) == (125.0, 325.0)
+        assert result.correlation == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("right_edge", [350.0, 480.0])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_ties_between_bands(self, seed, right_edge):
+        """Two bands hold the same incidence values in another order, so their
+        r differ by rounding only; the 1e-12 rule then prefers the wider one
+        (the later band with right_edge 480, the earlier with 350)."""
+        rng = np.random.default_rng(seed)
+        same = rng.uniform(1.0, 2.0, size=3)
+        rain = column([100.0] * 3 + [300.0] * 3 + [20.0, right_edge, 200.0] * 2)
+        inc = np.concatenate((same, rng.permutation(same), [-5.0, -5.0, -1000.0] * 2))
+        perm = rng.permutation(rain.size)
+        rain, inc = rain[perm], inc[perm]
+        assert rainfall_cutoffs(rain, inc, 0) == reference_rainfall_cutoffs(rain, inc, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_panels(), st.integers(0, 4), st.sampled_from([10.0, 25.0, 7.5, 20]))
+    def test_drawn_panels_cutoffs(self, panel, lag, grid_step):
+        rain, inc = panel
+        assert outcome(rainfall_cutoffs, rain, inc, lag, grid_step) == outcome(
+            reference_rainfall_cutoffs, rain, inc, lag, grid_step
+        )
+
+    @settings(deadline=None)
+    @given(drawn_panels(), st.integers(-1, 7))
+    def test_drawn_panels_lags(self, panel, max_lag):
+        rain, inc = panel
+        assert outcome(best_lag, rain, inc, max_lag) == outcome(
+            reference_best_lag, rain, inc, max_lag
+        )
 
 
 class TestExponents:
@@ -183,7 +404,7 @@ class TestExponents:
     def test_estimate_from_series(self):
         rng = np.random.default_rng(5)
         base = list(rng.uniform(0, 50, size=60))
-        inc = series(base, Variable.INCIDENCE)
-        factors = [series(base, Variable.RAINFALL) for _ in range(4)]
+        inc = column(base)
+        factors = [column(base) for _ in range(4)]
         c = estimate_exponents(factors, inc)
         assert c == pytest.approx((1.0, 1.0, 1.0, 1.0))

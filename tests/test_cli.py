@@ -94,6 +94,53 @@ class TestConfigValidation:
         assert "calibration.lags" in err and "mobility" in err
 
 
+# calibration.json of the quick-start panel with both searches fixed by the
+# config; the bytes are those the per-pair and per-lag loops wrote.
+FIXED_CALIBRATION_JSON = """\
+{
+  "correlations": {
+    "humid": -0.34787992974929655,
+    "mobility": 0.7958001448225925,
+    "rain": 0.3537524740245408,
+    "temp": -0.9841133933532417
+  },
+  "exponents": [
+    0.9828861804763613,
+    1.0045408435486565,
+    0.9918157641197404,
+    1.020757211855242
+  ],
+  "lags": {
+    "humid": 0,
+    "mobility": 2,
+    "rain": 1,
+    "temp": 3
+  },
+  "mobility_c": 0.2,
+  "rainfall_cutoffs": {
+    "correlation": 0.7504462957848099,
+    "r_max": 350.0,
+    "r_min": 150.0
+  }
+}
+"""
+
+
+class TestCalibrate:
+    def test_fixed_lags_and_cutoffs(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "fixed.yaml"
+        fixed = {
+            "lags": {"rain": 1, "temp": 3, "humid": 0, "mobility": 2},
+            "rainfall_cutoffs": [150, 350],
+        }
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration=fixed)))
+        out = tmp_path / "cal"
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(out))
+        assert code == 0, err
+        assert (out / "calibration.json").read_text() == FIXED_CALIBRATION_JSON
+
+
 class TestSynth:
     def test_writes_expected_artifacts(self, workspace):
         _, data, _ = workspace

@@ -111,20 +111,24 @@ class TestGenerate:
     def test_noiseless_lag_recovery(self):
         lags = Lags(2, 3, 2, 1)
         panel, _ = generate(SynthConfig(planted_lags=lags))
-        inc = panel.get(TARGET_REGION, Variable.INCIDENCE)
+        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).to_array()
+
+        def lag_of(region, variable):
+            return best_lag(panel.get(region, variable).to_array(), inc).lag_months
+
         found = {
-            "rain": best_lag(panel.get(TARGET_REGION, Variable.RAINFALL), inc).lag_months,
-            "temp": best_lag(panel.get(TARGET_REGION, Variable.TEMPERATURE), inc).lag_months,
-            "humid": best_lag(panel.get(TARGET_REGION, Variable.HUMIDITY), inc).lag_months,
-            "mobility": best_lag(panel.get(NEIGHBOR_REGION, Variable.INCIDENCE), inc).lag_months,
+            "rain": lag_of(TARGET_REGION, Variable.RAINFALL),
+            "temp": lag_of(TARGET_REGION, Variable.TEMPERATURE),
+            "humid": lag_of(TARGET_REGION, Variable.HUMIDITY),
+            "mobility": lag_of(NEIGHBOR_REGION, Variable.INCIDENCE),
         }
         assert found == {"rain": 2, "temp": 3, "humid": 2, "mobility": 1}
 
     def test_rain_band_interior_to_recovered_cutoffs(self):
         panel, _ = generate(SynthConfig())
         result = rainfall_cutoffs(
-            panel.get(TARGET_REGION, Variable.RAINFALL),
-            panel.get(TARGET_REGION, Variable.INCIDENCE),
+            panel.get(TARGET_REGION, Variable.RAINFALL).to_array(),
+            panel.get(TARGET_REGION, Variable.INCIDENCE).to_array(),
             lag=2,
         )
         # the pulse plants all outbreak-lagged rain at the band center
