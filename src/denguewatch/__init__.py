@@ -5,7 +5,7 @@ baseline for comparison."""
 from .panel import MonthIndex, MonthlySeries, MobilityMatrix, Panel, Variable
 from .fuzzy import PiecewiseLinearMF
 from .risk import Lags, MembershipFunctions, RiskParams, RiskSeries
-from .pareto import ObjectivePoint, detect_outbreaks, pareto_front, rank_points
+from .pareto import ObjectivePoint, detect_outbreaks, rank_points
 from .evaluation import EvalResult, OutbreakCalendar, score
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "RiskSeries",
     "Variable",
     "detect_outbreaks",
-    "pareto_front",
     "rank_points",
     "score",
     "__version__",

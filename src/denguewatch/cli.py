@@ -14,7 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .config import dump_defaults, load_config
 from .errors import ConfigError, DengueWatchError
-from .evaluation import OutbreakCalendar, load_calendar, score, write_calendar
+from .evaluation import load_calendar, score, write_calendar
 from .panel import MonthIndex, Variable, write_mobility, write_series
 from .risk import Lags
 from .synth import SynthConfig, generate

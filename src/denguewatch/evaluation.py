@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IngestionError, ParameterError
-from .panel import MonthIndex
+from .panel import MonthIndex, csv_rows
 
 DEFAULT_MATCH_WINDOW = 1
 
@@ -96,19 +96,14 @@ def load_calendar(path) -> OutbreakCalendar:
     calendars and flagged-months artifacts are accepted.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    header = [c.strip().lower() for c in rows[0]]
+    rows = csv_rows(path)
+    header = [c.strip().lower() for c in next(rows)[1]]
     if "date" not in header:
         raise IngestionError(f"{path}: no 'date' column in header")
     col = header.index("date")
     months = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or len(row) <= col or not row[col].strip():
+    for lineno, row in rows:
+        if len(row) <= col or not row[col].strip():
             continue
         try:
             months.append(MonthIndex.parse(row[col]))

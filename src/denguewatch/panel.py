@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -87,7 +87,15 @@ class MonthlySeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        for i, v in enumerate(self.values):
+        try:
+            arr = np.array(self.values, dtype=float)  # None becomes NaN
+            if np.count_nonzero(~np.isfinite(arr)) == self.values.count(None) and not (
+                self.variable in _NONNEGATIVE and (arr < 0).any()
+            ):
+                return
+        except (TypeError, ValueError, OverflowError):
+            pass
+        for i, v in enumerate(self.values):  # the first bad value, for the message
             if v is None:
                 continue
             if not math.isfinite(v):
@@ -107,9 +115,6 @@ class MonthlySeries:
         """Last month covered (inclusive)."""
         return self.start + (len(self.values) - 1)
 
-    def months(self) -> Iterable[MonthIndex]:
-        return (self.start + i for i in range(len(self.values)))
-
     def value_at(self, t: MonthIndex):
         """Value for month t, or None outside the span / at a gap."""
         i = t - self.start
@@ -119,16 +124,17 @@ class MonthlySeries:
 
     def to_array(self) -> np.ndarray:
         """float array with NaN for missing months."""
-        return np.array(
-            [np.nan if v is None else float(v) for v in self.values], dtype=float
-        )
+        return np.array(self.values, dtype=float)
 
     def slice(self, start: MonthIndex, end: MonthIndex) -> "MonthlySeries":
-        if start < self.start or end > self.end:
+        """The months start..end; the series itself when that is its span."""
+        i, j = start - self.start, end - self.start
+        if i < 0 or j >= len(self.values):
             raise AlignmentError(
                 f"slice [{start}..{end}] exceeds span [{self.start}..{self.end}]"
             )
-        i, j = start - self.start, end - self.start
+        if i == 0 and j == len(self.values) - 1:
+            return self
         return replace(self, start=start, values=self.values[i : j + 1])
 
 
@@ -147,19 +153,20 @@ class MobilityMatrix:
         n = len(self.regions)
         if len(self.weights) != n or any(len(r) != n for r in self.weights):
             raise ParameterError("mobility weight matrix must be square")
-        for row in self.weights:
-            for w in row:
-                if not math.isfinite(w) or w < 0:
-                    raise ParameterError("mobility weights must be finite and >= 0")
+        w = np.array(self.weights, dtype=float)
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise ParameterError("mobility weights must be finite and >= 0")
 
     @classmethod
     def from_pairs(cls, pairs: Mapping) -> "MobilityMatrix":
+        """W from ``{(from, to): weight}``; regions sorted, W filled in one scatter."""
         regions = sorted({r for key in pairs for r in key})
         idx = {r: k for k, r in enumerate(regions)}
-        mat = [[0.0] * len(regions) for _ in regions]
-        for (i, j), w in pairs.items():
-            mat[idx[i]][idx[j]] = float(w)
-        return cls(tuple(regions), tuple(tuple(r) for r in mat))
+        mat = np.zeros((len(regions), len(regions)))
+        if pairs:
+            rows, cols = zip(*[(idx[i], idx[j]) for i, j in pairs])
+            mat[rows, cols] = [float(w) for w in pairs.values()]
+        return cls(tuple(regions), tuple(map(tuple, mat.tolist())))
 
 
 @dataclass(frozen=True)
@@ -200,44 +207,62 @@ SERIES_HEADER = ["region", "date", "value"]
 MOBILITY_HEADER = ["from", "to", "weight"]
 
 
-def _read_rows(path) -> list:
+def csv_rows(path):
+    """Yield ``(line, fields)`` for every row of a CSV file, the header at
+    line 1; lines count rows. A missing, empty, non-UTF-8 or unparseable file
+    raises a one-line error naming it."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
+    if path.is_dir():
+        raise FileNotFoundError(f"not a file: {path}")
+    lineno = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: line {lineno + 1}: {exc}") from None
+    if lineno == 0:
         raise IngestionError(f"{path}: no data rows")
-    return rows
+
+
+def _data_rows(path, header: list, empty_ok: bool = False):
+    """Yield ``(line, stripped fields)`` for every non-blank row after the
+    ``header`` row; nothing after the header is an error unless ``empty_ok``."""
+    rows = csv_rows(path)
+    if [c.strip().lower() for c in next(rows)[1]] != header:
+        raise IngestionError(f"{path}: line 1: expected header {','.join(header)!r}")
+    lineno = 1
+    for lineno, row in rows:
+        fields = list(map(str.strip, row))
+        if any(fields):
+            yield lineno, fields
+    if lineno == 1 and not empty_ok:
+        raise IngestionError(f"{path}: no data rows")
 
 
 def load_series_table(path, variable: Variable) -> dict:
     """Parse a series CSV into per-region gap-free series.
 
     Schema: header ``region,date,value``; date ``YYYY-MM``; empty value field
-    marks a missing month; rows need not be sorted.
+    marks a missing month; rows need not be sorted. One pass, checking rows
+    in file order; months are keyed by ordinal.
     """
-    rows = _read_rows(path)
-    header = [c.strip().lower() for c in rows[0]]
-    if header != SERIES_HEADER:
-        raise IngestionError(
-            f"{path}: line 1: expected header {','.join(SERIES_HEADER)!r}"
-        )
-    if len(rows) == 1:
-        raise IngestionError(f"{path}: no data rows")
-
-    per_region: dict = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
+    ordinals = {}  # date text -> month ordinal, so each date is parsed once
+    per_region = {}  # region -> {ordinal: value or None}
+    for lineno, fields in _data_rows(path, SERIES_HEADER):
+        if len(fields) != 3:
             raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
-        region, date_text, value_text = (c.strip() for c in row)
-        try:
-            t = MonthIndex.parse(date_text)
-        except IngestionError as exc:
-            raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+        region, date_text, value_text = fields
+        t = ordinals.get(date_text)
+        if t is None:
+            try:
+                t = ordinals[date_text] = MonthIndex.parse(date_text).ordinal
+            except IngestionError as exc:
+                raise IngestionError(f"{path}: line {lineno}: {exc}") from None
         if value_text == "":
             value = None
         else:
@@ -251,38 +276,25 @@ def load_series_table(path, variable: Variable) -> dict:
                 raise IngestionError(
                     f"{path}: line {lineno}: non-finite value {value_text!r}"
                 )
-        bucket = per_region.setdefault(region, {})
+        bucket = per_region.get(region)
+        if bucket is None:
+            bucket = per_region[region] = {}
         if t in bucket:
             raise IngestionError(
-                f"{path}: line {lineno}: duplicate row for ({region}, {t})"
+                f"{path}: line {lineno}: duplicate row for "
+                f"({region}, {MonthIndex.from_ordinal(t)})"
             )
         bucket[t] = value
 
     out = {}
-    for region, by_month in per_region.items():
-        months = sorted(by_month)
-        start, end = months[0], months[-1]
-        values = [by_month.get(start + i) for i in range(end - start + 1)]
+    for region, bucket in per_region.items():
+        lo, hi = min(bucket), max(bucket)
+        values = tuple(map(bucket.get, range(lo, hi + 1)))
         try:
-            out[region] = MonthlySeries(region, variable, start, tuple(values))
+            out[region] = MonthlySeries(region, variable, MonthIndex.from_ordinal(lo), values)
         except ParameterError as exc:
             raise IngestionError(f"{path}: {exc}") from None
     return out
-
-
-def load_series(path, variable: Variable, region: Optional[str] = None) -> MonthlySeries:
-    """Load a single region's series; errors if the file mixes regions."""
-    table = load_series_table(path, variable)
-    if region is not None:
-        if region not in table:
-            raise IngestionError(f"{path}: no rows for region {region!r}")
-        return table[region]
-    if len(table) != 1:
-        raise IngestionError(
-            f"{path}: file contains {len(table)} regions "
-            f"({', '.join(sorted(table))}); pass region= to pick one"
-        )
-    return next(iter(table.values()))
 
 
 def write_series(series_list, path) -> None:
@@ -302,19 +314,11 @@ def write_series(series_list, path) -> None:
 
 def load_mobility(path) -> MobilityMatrix:
     """Parse a mobility CSV (``from,to,weight``); unlisted pairs default to 0."""
-    rows = _read_rows(path)
-    header = [c.strip().lower() for c in rows[0]]
-    if header != MOBILITY_HEADER:
-        raise IngestionError(
-            f"{path}: line 1: expected header {','.join(MOBILITY_HEADER)!r}"
-        )
-    pairs: dict = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
+    pairs = {}
+    for lineno, fields in _data_rows(path, MOBILITY_HEADER, empty_ok=True):
+        if len(fields) != 3:
             raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
-        i, j, w_text = (c.strip() for c in row)
+        i, j, w_text = fields
         try:
             w = float(w_text)
         except ValueError:

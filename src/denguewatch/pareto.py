@@ -1,4 +1,4 @@
-"""Dominance ranking, Pareto frontier extraction, and outbreak flagging.
+"""Dominance ranking and outbreak flagging.
 
 Both objectives are minimized; rank is the number of dominating points
 (degree of dominance), so rank 0 is exactly the Pareto optimal frontier.
@@ -52,12 +52,6 @@ def rank_points(points) -> list:
     strict = (d1[:, None] < d1[None, :]) | (d2[:, None] < d2[None, :])
     counts = (le & strict).sum(axis=0)
     return [replace(p, rank=int(c)) for p, c in zip(points, counts)]
-
-
-def pareto_front(points) -> list:
-    """The rank-0 (non-dominated) points, sorted by month."""
-    ranked = rank_points(points)
-    return sorted((p for p in ranked if p.rank == 0), key=lambda p: p.t)
 
 
 def reliability(d1: float, d2: float) -> float:

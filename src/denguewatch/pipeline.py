@@ -17,9 +17,8 @@ import numpy as np
 from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
-from .config import default_config
 from .errors import ConfigError, PipelineError
-from .evaluation import OutbreakCalendar, load_calendar, score
+from .evaluation import load_calendar, score
 from .fuzzy import (
     PiecewiseLinearMF,
     humidity_mf_default,
@@ -269,46 +268,38 @@ def _write_json(payload: dict, path) -> None:
 def report(cfg: dict, out_dir) -> dict:
     """Full pipeline: calibrate, detect, baseline, evaluate, plot.
 
-    Returns a summary dict; writes all artifacts under ``out_dir``.
+    Returns a summary dict. Every stage runs before the first file is written,
+    so a failed run leaves nothing under ``out_dir``.
     """
     from .svgplot import objective_scatter_svg
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     panel = load_panel(cfg)
     calibration = calibrate_panel(panel, cfg)
-    _write_json(calibration.to_dict(), out / "calibration.json")
-
     series, flagged = detect(panel, cfg, calibration)
-    write_risk_csv(series, out / "risk.csv")
-    write_flagged_csv(flagged, out / "flagged.csv")
-    (out / "objective_space.svg").write_text(
-        objective_scatter_svg(series.months, flagged), encoding="utf-8"
-    )
-
+    svg = objective_scatter_svg(series.months, flagged)
     coeffs, months, fitted, predicted = run_baseline(panel, cfg, calibration)
-    write_baseline_csv(months, fitted, predicted, out / "baseline.csv")
 
     actual_path = cfg["inputs"]["actual_outbreaks"]
     evaluation = {}
     if actual_path is not None:
         actual = load_calendar(actual_path)
         window = cfg["evaluation"]["match_window"]
-        span = evaluation_span(
-            cfg,
-            [m.t for m in series.months],
-            actual.months,
-        )
-        flagged_months = [f.t for f in flagged]
+        span = evaluation_span(cfg, [m.t for m in series.months], actual.months)
         evaluation = {
             "span": {"start": str(span[0]), "end": str(span[1])},
             "match_window": window,
-            "multicriteria": score(
-                flagged_months, actual, span, window
-            ).to_dict(),
+            "multicriteria": score([f.t for f in flagged], actual, span, window).to_dict(),
             "baseline": score(predicted, actual, span, window).to_dict(),
         }
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(calibration.to_dict(), out / "calibration.json")
+    write_risk_csv(series, out / "risk.csv")
+    write_flagged_csv(flagged, out / "flagged.csv")
+    (out / "objective_space.svg").write_text(svg, encoding="utf-8")
+    write_baseline_csv(months, fitted, predicted, out / "baseline.csv")
+    if evaluation:
         _write_json(evaluation, out / "evaluation.json")
 
     return {

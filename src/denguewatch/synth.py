@@ -177,8 +177,9 @@ def generate(config: SynthConfig):
         humid_i = 90.0 + 5.0 * (1.0 - max(p_h, 0.2 * seasonal(i, 1.7)))
         base_rain = 60.0 + 25.0 * seasonal(i, 2.9)
         rain_i = base_rain + (rain_center - base_rain) * p_r
-        # sporadic dry/wet excursions well clear of any pulse, for realism
-        if p_r == 0.0 and p_0 == 0.0 and i % 9 == 4:
+        # sporadic dry/wet excursions, at least 4 months from every rain-pulse centre
+        rain_clear = all(abs(i + lags.rain - o) > _PULSE_HALF_WIDTH for o in offsets)
+        if rain_clear and p_0 == 0.0 and i % 9 == 4:
             rain_i = rain_extras[extra_slot % len(rain_extras)]
             extra_slot += 1
         inc_i = _INCIDENCE_BASE + _INCIDENCE_AMP * p_0

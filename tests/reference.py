@@ -1,0 +1,149 @@
+"""Helpers that only the tests use, and the per-row loaders kept as oracles.
+
+``reference_load_series_table`` and ``reference_load_mobility`` are the
+loaders as they were before ingest became one streaming pass per file: read
+every row into a list, parse each row into ``MonthIndex`` keys, build the
+series month by month and validate every value in Python. The streaming
+loaders in ``denguewatch.panel`` must return the same result, or raise the
+same exception with the same message, on any file these accept or reject.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from pathlib import Path
+from typing import Optional
+
+from denguewatch.errors import IngestionError, ParameterError
+from denguewatch.panel import (
+    MOBILITY_HEADER,
+    SERIES_HEADER,
+    MobilityMatrix,
+    MonthIndex,
+    MonthlySeries,
+    Variable,
+    load_series_table,
+)
+from denguewatch.pareto import rank_points
+
+_NONNEGATIVE = {Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION}
+
+
+def load_series(path, variable: Variable, region: Optional[str] = None) -> MonthlySeries:
+    """Load a single region's series; errors if the file mixes regions."""
+    table = load_series_table(path, variable)
+    if region is not None:
+        if region not in table:
+            raise IngestionError(f"{path}: no rows for region {region!r}")
+        return table[region]
+    if len(table) != 1:
+        raise IngestionError(
+            f"{path}: file contains {len(table)} regions "
+            f"({', '.join(sorted(table))}); pass region= to pick one"
+        )
+    return next(iter(table.values()))
+
+
+def pareto_front(points) -> list:
+    """The rank-0 (non-dominated) points, sorted by month."""
+    ranked = rank_points(points)
+    return sorted((p for p in ranked if p.rank == 0), key=lambda p: p.t)
+
+
+def _read_rows(path) -> list:
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    return rows
+
+
+def _check_series(region, variable, start, values) -> None:
+    for i, v in enumerate(values):
+        if v is None:
+            continue
+        if not math.isfinite(v):
+            raise ParameterError(f"non-finite value at {start + i} in {region}/{variable.value}")
+        if variable in _NONNEGATIVE and v < 0:
+            raise ParameterError(f"negative {variable.value} at {start + i} in {region}")
+
+
+def reference_load_series_table(path, variable: Variable) -> dict:
+    rows = _read_rows(path)
+    header = [c.strip().lower() for c in rows[0]]
+    if header != SERIES_HEADER:
+        raise IngestionError(f"{path}: line 1: expected header {','.join(SERIES_HEADER)!r}")
+    if len(rows) == 1:
+        raise IngestionError(f"{path}: no data rows")
+
+    per_region: dict = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
+        region, date_text, value_text = (c.strip() for c in row)
+        try:
+            t = MonthIndex.parse(date_text)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+        if value_text == "":
+            value = None
+        else:
+            try:
+                value = float(value_text)
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: line {lineno}: non-numeric value {value_text!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise IngestionError(f"{path}: line {lineno}: non-finite value {value_text!r}")
+        bucket = per_region.setdefault(region, {})
+        if t in bucket:
+            raise IngestionError(f"{path}: line {lineno}: duplicate row for ({region}, {t})")
+        bucket[t] = value
+
+    out = {}
+    for region, by_month in per_region.items():
+        months = sorted(by_month)
+        start, end = months[0], months[-1]
+        values = tuple(by_month.get(start + i) for i in range(end - start + 1))
+        try:
+            _check_series(region, variable, start, values)
+        except ParameterError as exc:
+            raise IngestionError(f"{path}: {exc}") from None
+        out[region] = MonthlySeries(region, variable, start, values)
+    return out
+
+
+def reference_load_mobility(path) -> MobilityMatrix:
+    rows = _read_rows(path)
+    header = [c.strip().lower() for c in rows[0]]
+    if header != MOBILITY_HEADER:
+        raise IngestionError(f"{path}: line 1: expected header {','.join(MOBILITY_HEADER)!r}")
+    pairs: dict = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
+        i, j, w_text = (c.strip() for c in row)
+        try:
+            w = float(w_text)
+        except ValueError:
+            raise IngestionError(f"{path}: line {lineno}: non-numeric weight {w_text!r}") from None
+        if not math.isfinite(w) or w < 0:
+            raise IngestionError(f"{path}: line {lineno}: weight must be finite and >= 0")
+        if (i, j) in pairs:
+            raise IngestionError(f"{path}: line {lineno}: duplicate pair ({i}, {j})")
+        pairs[(i, j)] = w
+    regions = sorted({r for key in pairs for r in key})
+    idx = {r: k for k, r in enumerate(regions)}
+    mat = [[0.0] * len(regions) for _ in regions]
+    for (i, j), w in pairs.items():
+        mat[idx[i]][idx[j]] = float(w)
+    return MobilityMatrix(tuple(regions), tuple(tuple(r) for r in mat))

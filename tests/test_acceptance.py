@@ -24,9 +24,11 @@ from denguewatch.fuzzy import (
     temperature_mf_default,
 )
 from denguewatch.panel import MonthIndex, Variable
-from denguewatch.pareto import ObjectivePoint, pareto_front, rank_points
+from denguewatch.pareto import ObjectivePoint, rank_points
 from denguewatch.risk import Lags
 from denguewatch.synth import SplitMix64, SynthConfig, TARGET_REGION, generate
+
+from reference import pareto_front
 
 T0 = MonthIndex(2010, 1)
 SPAN_105 = (MonthIndex(2010, 4), MonthIndex(2018, 12))

