@@ -26,6 +26,11 @@ _TIE_EPS = 1e-12
 #: from the best, are re-scored exactly (see :func:`rainfall_cutoffs`).
 _CLUSTER_GAP = 1e-9
 
+#: Most grid points :func:`rainfall_cutoffs` scores. The pair broadcast peaks
+#: at about 72 bytes per (r_min, r_max) pair (tracemalloc, 120 months), so
+#: 2,700 points, 3.6 million pairs, keep its temporaries under 256 MiB.
+_MAX_GRID_POINTS = 2700
+
 
 @dataclass(frozen=True)
 class LagResult:
@@ -50,35 +55,74 @@ def pearson(x, y) -> float:
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
         raise ParameterError(f"length mismatch: {xa.size} vs {ya.size}")
-    keep = ~(np.isnan(xa) | np.isnan(ya))
-    xa, ya = xa[keep], ya[keep]
-    if xa.size < 3:
-        raise CorrelationUndefinedError(
-            f"need >= 3 paired observations, got {xa.size}"
+    (r,) = _pearson_rows(xa.reshape(1, -1), ya.reshape(-1))
+    if isinstance(r, CorrelationUndefinedError):
+        raise r
+    return r
+
+
+def _pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
+    """:func:`pearson` of each row of the float array ``xs`` against ``y``;
+    where it would raise, the entry is the error it would raise.
+
+    Rows that keep the same months (both sides present) share one pass over
+    a C-contiguous ``[rows, n]`` array. Each row is reduced with the same
+    elementwise steps as a lone vector, so every r is bit-identical to one
+    computed alone.
+    """
+    keep = ~(np.isnan(xs) | np.isnan(y))
+    groups = {}
+    for i, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(i)
+    out = [None] * len(xs)
+    for rows in groups.values():
+        mask = keep[rows[0]]
+        n = int(np.count_nonzero(mask))
+        if n < 3:
+            for i in rows:
+                out[i] = CorrelationUndefinedError(
+                    f"need >= 3 paired observations, got {n}"
+                )
+            continue
+        # Boolean column indexing gives an F-ordered array, whose row sums
+        # round differently from a lone vector's.
+        x = np.ascontiguousarray(xs[rows][:, mask])
+        ya = y[mask]
+        xc = _unit_scaled(x - (x.sum(axis=1) / n)[:, None])
+        yc = _unit_scaled(ya - ya.sum() / n)
+        # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
+        # terms take out the rounding error of each mean, which dominates when
+        # the spread is a few ulps of the mean; elsewhere they are below half
+        # an ulp of the sum and change nothing.
+        ey = float(yc.sum())
+        sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
+        sums = zip(
+            xc.sum(axis=1).tolist(),
+            (xc * xc).sum(axis=1).tolist(),
+            (xc * yc).sum(axis=1).tolist(),
         )
-    xc = _unit_scaled(xa - xa.mean())
-    yc = _unit_scaled(ya - ya.mean())
-    # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
-    # terms take out the rounding error of each mean, which dominates when
-    # the spread is a few ulps of the mean; elsewhere they are below half an
-    # ulp of the sum and change nothing.
-    ex, ey, n = float(xc.sum()), float(yc.sum()), xa.size
-    sx = math.sqrt(max(float((xc * xc).sum()) - ex * ex / n, 0.0))
-    sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
-    if sx == 0.0 or sy == 0.0:
-        raise CorrelationUndefinedError("zero variance in at least one argument")
-    r = (float((xc * yc).sum()) - ex * ey / n) / (sx * sy)
-    return max(-1.0, min(1.0, r))
+        for i, (ex, exx, exy) in zip(rows, sums):
+            sx = math.sqrt(max(exx - ex * ex / n, 0.0))
+            if sx == 0.0 or sy == 0.0:
+                out[i] = CorrelationUndefinedError(
+                    "zero variance in at least one argument"
+                )
+            else:
+                r = (exy - ex * ey / n) / (sx * sy)
+                out[i] = max(-1.0, min(1.0, r))
+    return out
 
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings its max-abs into [0.5, 1).
+    """v times the power of two that brings its max-abs into [0.5, 1), each
+    row on its own when v is 2-D.
 
     Squaring then neither underflows nor overflows, so r stays affine
     invariant near zero variance; a power-of-two scale is exact, so r is
     unchanged wherever the squares were already in range.
     """
-    return np.ldexp(v, -math.frexp(np.abs(v).max())[1])
+    peak = np.abs(v).max(axis=-1, keepdims=True)
+    return np.ldexp(v, -np.frexp(peak)[1])
 
 
 def lagged_pair(factor, incidence, k: int):
@@ -101,31 +145,45 @@ def band_indicator(rain, r_min: float, r_max: float) -> np.ndarray:
     return np.where(np.isnan(rain), np.nan, inside)
 
 
-def best_lag(factor, incidence, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
-    """Lag in [0, max_lag] whose cross-correlation magnitude is largest.
+def best_lags(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> list:
+    """For each factor, the lag in [0, max_lag] whose cross-correlation
+    magnitude is largest, or the error that lag search ends in.
 
-    ``factor`` and ``incidence`` are NaN-marked columns over the same span.
+    ``factors`` and ``incidence`` are NaN-marked columns over the same span.
     The factor at t - k is correlated with incidence at t; |r| is maximized
     (rainfall-style factors may act through a negative association). Ties
     break toward the smaller lag. The signed r at the chosen lag is reported.
+    A factor with no defined correlation at any lag gets the
+    :class:`CorrelationUndefinedError` of the last lag tried. Each lag
+    correlates every factor in one :func:`_pearson_rows` pass.
     """
     if max_lag < 0:
         raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
-    best: LagResult | None = None
-    last_error: CorrelationUndefinedError | None = None
-    for k in range(max_lag + 1):
-        try:
-            r = pearson(*lagged_pair(factor, incidence, k))
-        except CorrelationUndefinedError as exc:
-            last_error = exc
-            continue
-        if best is None or abs(r) > abs(best.correlation) + _TIE_EPS:
-            best = LagResult(k, r)
-    if best is None:
-        raise last_error if last_error is not None else CorrelationUndefinedError(
-            "no lag produced a defined correlation"
-        )
+    inc = np.asarray(incidence, dtype=float)
+    columns = [np.asarray(f, dtype=float) for f in factors]
+    for fa in columns:
+        if fa.shape != inc.shape:
+            raise ParameterError(f"length mismatch: {fa.size} vs {inc.size}")
+    n = inc.size
+    stack = np.array(columns).reshape(len(columns), n)
+    best = [None] * len(columns)  # a LagResult, or the last error until one is found
+    for k in range(min(max_lag, n) + 1):  # lags past n pair no months, as lag n
+        for i, r in enumerate(_pearson_rows(stack[:, : n - k], inc[k:])):
+            found = isinstance(best[i], LagResult)
+            if isinstance(r, CorrelationUndefinedError):
+                if not found:
+                    best[i] = r
+            elif not found or abs(r) > abs(best[i].correlation) + _TIE_EPS:
+                best[i] = LagResult(k, r)
     return best
+
+
+def best_lag(factor, incidence, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
+    """:func:`best_lags` of one factor; raises its error."""
+    (result,) = best_lags([factor], incidence, max_lag)
+    if isinstance(result, CorrelationUndefinedError):
+        raise result
+    return result
 
 
 def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> CutoffResult:
@@ -176,9 +234,14 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     lo, hi = float(present.min()), float(present.max())
     if lo == hi:
         raise CalibrationError("rainfall series is constant; cutoffs undefined")
-    first = int(np.ceil(lo / grid_step))
-    last = int(np.floor(hi / grid_step))
-    grid = [k * grid_step for k in range(first, last + 1)]
+    first, last = np.ceil(lo / grid_step), np.floor(hi / grid_step)
+    points = last - first + 1  # a float, as int() of an overflowed bound would raise
+    if not points <= _MAX_GRID_POINTS:
+        raise CalibrationError(
+            f"calibration.grid_step {grid_step} is too fine: {points:.0f} grid points "
+            f"in [{lo}, {hi}], at most {_MAX_GRID_POINTS} are searched"
+        )
+    grid = [k * grid_step for k in range(int(first), int(last) + 1)]
     if len(grid) < 2:
         raise CalibrationError(
             f"empty grid: step {grid_step} leaves {len(grid)} point(s) in [{lo}, {hi}]"
@@ -267,10 +330,7 @@ def estimate_exponents(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> tu
     factors = list(factors)
     if len(factors) != 4:
         raise ParameterError(f"expected 4 factor series, got {len(factors)}")
-    mags = []
-    for f in factors:
-        try:
-            mags.append(abs(best_lag(f, incidence, max_lag).correlation))
-        except CorrelationUndefinedError:
-            mags.append(0.0)
-    return exponents_from_correlations(mags)
+    return exponents_from_correlations(
+        0.0 if isinstance(r, CorrelationUndefinedError) else abs(r.correlation)
+        for r in best_lags(factors, incidence, max_lag)
+    )

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, IngestionError
+from .panel import MonthIndex
 
 #: Every knob the pipeline honors, with its default. ``null`` means
 #: "derive from the data" (lags, cutoffs, exponents, mobility_c) or
@@ -101,13 +102,72 @@ def _check_lags(lags, where: str) -> None:
             raise ConfigError(f"{where}.{name} must be an integer >= 0, got {v!r}")
 
 
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_numbers(v, size=None) -> bool:
+    return isinstance(v, list) and size in (None, len(v)) and all(map(_is_number, v))
+
+
+def _is_breakpoints(v) -> bool:
+    return isinstance(v, list) and all(_is_numbers(p, 2) for p in v)
+
+
+def _is_month(v) -> bool:
+    if not isinstance(v, str):
+        return False
+    try:
+        MonthIndex.parse(v)
+    except IngestionError:
+        return False
+    return True
+
+
+# (key, test, what it must be): types and shapes only, the run checks ranges.
+# A key whose default is null may also be null.
+_TYPES = (
+    ("region", lambda v: isinstance(v, str), "a region name"),
+    ("membership.temperature", _is_breakpoints, "a list of [x, y] number pairs"),
+    ("membership.humidity", _is_breakpoints, "a list of [x, y] number pairs"),
+    ("membership.rainfall_shoulder", _is_number, "a number"),
+    ("calibration.rainfall_cutoffs", lambda v: _is_numbers(v, 2), "a list of 2 numbers"),
+    ("calibration.exponents", _is_numbers, "a list of numbers"),
+    ("risk.r_ideal", _is_number, "a number"),
+    ("risk.l_ideal", _is_number, "a number"),
+    ("risk.mobility_c", _is_number, "a number"),
+    ("detection.rank_threshold", _is_int, "an integer"),
+    ("baseline.threshold_quantile", _is_number, "a number"),
+    ("evaluation.match_window", _is_int, "an integer"),
+    ("evaluation.span_start", _is_month, "a YYYY-MM month"),
+    ("evaluation.span_end", _is_month, "a YYYY-MM month"),
+)
+
+
+def _at(cfg: dict, key: str):
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
 def _validate(cfg: dict) -> dict:
-    """Reject calibration and synth values of the wrong type or range."""
+    """Reject config values of the wrong type or shape, and calibration and
+    synth values out of range."""
+    for key, ok, expected in _TYPES:
+        value = _at(cfg, key)
+        if _at(DEFAULT_CONFIG, key) is None:
+            if value is None:
+                continue
+            expected = f"null or {expected}"
+        if not ok(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
     ccfg = cfg["calibration"]
+    if ccfg["exponents"] is not None and len(ccfg["exponents"]) != 4:
+        raise ConfigError("calibration.exponents needs exactly 4 values")
     max_lag, step = ccfg["max_lag"], ccfg["grid_step"]
     if not (_is_int(max_lag) and max_lag >= 0):
         raise ConfigError(f"calibration.max_lag must be an integer >= 0, got {max_lag!r}")
-    if not ((_is_int(step) or isinstance(step, float)) and math.isfinite(step) and step > 0):
+    if not (_is_number(step) and math.isfinite(step) and step > 0):
         raise ConfigError(f"calibration.grid_step must be a number > 0, got {step!r}")
     if ccfg["lags"] is not None:
         _check_lags(ccfg["lags"], "calibration.lags")

@@ -8,6 +8,7 @@ explicit ``None`` markers; downstream stages decide how to handle them
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ class MonthIndex:
         return self.year * 12 + (self.month - 1)
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)  # frozen, so one instance serves every caller
     def from_ordinal(cls, n: int) -> "MonthIndex":
         return cls(n // 12, n % 12 + 1)
 
@@ -46,7 +48,10 @@ class MonthIndex:
         m = _DATE_RE.match(text.strip())
         if m is None:
             raise IngestionError(f"malformed date {text!r}, expected YYYY-MM")
-        return cls(int(m.group(1)), int(m.group(2)))
+        try:
+            return cls(int(m.group(1)), int(m.group(2)))
+        except ParameterError as exc:  # month outside 1..12: an input fault
+            raise IngestionError(str(exc)) from None
 
     def __add__(self, months: int) -> "MonthIndex":
         return MonthIndex.from_ordinal(self.ordinal + int(months))

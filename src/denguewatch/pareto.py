@@ -7,7 +7,7 @@ Both objectives are minimized; rank is the number of dominating points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def rank_points(points) -> list:
     le = (d1[:, None] <= d1[None, :]) & (d2[:, None] <= d2[None, :])
     strict = (d1[:, None] < d1[None, :]) | (d2[:, None] < d2[None, :])
     counts = (le & strict).sum(axis=0)
-    return [replace(p, rank=int(c)) for p, c in zip(points, counts)]
+    return [ObjectivePoint(p.t, p.d1, p.d2, int(c)) for p, c in zip(points, counts)]
 
 
 def reliability(d1: float, d2: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, CorrelationUndefinedError, PipelineError
 from .evaluation import load_calendar, score
 from .fuzzy import (
     PiecewiseLinearMF,
@@ -129,12 +129,12 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
             pair = cal.lagged_pair(column, incidence, getattr(lags, name))
             correlations[name] = cal.pearson(*pair)
     else:
-        chosen = {}
-        for name, column in factors.items():
-            result = cal.best_lag(column, incidence, max_lag)
-            chosen[name] = result.lag_months
-            correlations[name] = result.correlation
-        lags = Lags(**chosen)
+        results = cal.best_lags(factors.values(), incidence, max_lag)
+        for result in results:  # the first failing factor, in search order
+            if isinstance(result, CorrelationUndefinedError):
+                raise result
+        correlations = {name: r.correlation for name, r in zip(factors, results)}
+        lags = Lags(*(r.lag_months for r in results))
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
@@ -153,8 +153,6 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
     if ccfg["exponents"] is not None:
         exponents = tuple(float(c) for c in ccfg["exponents"])
-        if len(exponents) != 4:
-            raise ConfigError("calibration.exponents needs exactly 4 values")
     else:
         mfs = membership_functions(cfg, cutoffs, mobility_c)
         member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]

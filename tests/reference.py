@@ -6,6 +6,10 @@ every row into a list, parse each row into ``MonthIndex`` keys, build the
 series month by month and validate every value in Python. The streaming
 loaders in ``denguewatch.panel`` must return the same result, or raise the
 same exception with the same message, on any file these accept or reject.
+
+``reference_pearson`` is the scalar Pearson r as it was before the lag
+search correlated all factors in one pass: the row pass in
+``denguewatch.calibrate`` must give bit-identical r, or the same error.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import math
 from pathlib import Path
 from typing import Optional
 
-from denguewatch.errors import IngestionError, ParameterError
+import numpy as np
+
+from denguewatch.errors import CorrelationUndefinedError, IngestionError, ParameterError
 from denguewatch.panel import (
     MOBILITY_HEADER,
     SERIES_HEADER,
@@ -147,3 +153,24 @@ def reference_load_mobility(path) -> MobilityMatrix:
     for (i, j), w in pairs.items():
         mat[idx[i]][idx[j]] = float(w)
     return MobilityMatrix(tuple(regions), tuple(tuple(r) for r in mat))
+
+
+def reference_pearson(x, y) -> float:
+    """Pearson r of one pair of vectors, with pairwise deletion."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape != ya.shape:
+        raise ParameterError(f"length mismatch: {xa.size} vs {ya.size}")
+    keep = ~(np.isnan(xa) | np.isnan(ya))
+    xa, ya = xa[keep], ya[keep]
+    if xa.size < 3:
+        raise CorrelationUndefinedError(f"need >= 3 paired observations, got {xa.size}")
+    xc = np.ldexp(xa - xa.mean(), -math.frexp(np.abs(xa - xa.mean()).max())[1])
+    yc = np.ldexp(ya - ya.mean(), -math.frexp(np.abs(ya - ya.mean()).max())[1])
+    ex, ey, n = float(xc.sum()), float(yc.sum()), xa.size
+    sx = math.sqrt(max(float((xc * xc).sum()) - ex * ex / n, 0.0))
+    sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
+    if sx == 0.0 or sy == 0.0:
+        raise CorrelationUndefinedError("zero variance in at least one argument")
+    r = (float((xc * yc).sum()) - ex * ey / n) / (sx * sy)
+    return max(-1.0, min(1.0, r))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from denguewatch import calibrate
 from denguewatch.calibrate import (
     CORRELATION_FLOOR,
     DEFAULT_LAGS,
@@ -12,6 +14,7 @@ from denguewatch.calibrate import (
     LagResult,
     _band_scores,
     best_lag,
+    best_lags,
     estimate_exponents,
     exponents_from_correlations,
     pearson,
@@ -23,6 +26,8 @@ from denguewatch.errors import (
     ParameterError,
 )
 from denguewatch.synth import SplitMix64
+
+from reference import reference_pearson
 
 TIE_EPS = 1e-12
 
@@ -41,14 +46,15 @@ def shifted(values, k):
 
 
 def reference_best_lag(factor, incidence, max_lag=DEFAULT_MAX_LAG):
-    """The per-lag loop: correlate the NaN-shifted factor at every lag."""
+    """The per-lag loop: correlate the NaN-shifted factor at every lag with
+    the scalar reference r."""
     if max_lag < 0:
         raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
     best = None
     last_error = None
     for k in range(max_lag + 1):
         try:
-            r = pearson(shifted(factor, k), incidence)
+            r = reference_pearson(shifted(factor, k), incidence)
         except CorrelationUndefinedError as exc:
             last_error = exc
             continue
@@ -85,7 +91,7 @@ def reference_rainfall_cutoffs(rain, incidence, lag, grid_step=10.0):
             z = ((ra >= a) & (ra <= b)).astype(float)
             z[np.isnan(ra)] = np.nan
             try:
-                r = pearson(z, ia)
+                r = reference_pearson(z, ia)
             except CorrelationUndefinedError:
                 continue
             if best is None:
@@ -102,6 +108,17 @@ def reference_rainfall_cutoffs(rain, incidence, lag, grid_step=10.0):
     if best is None:
         raise CalibrationError("no cutoff pair produced a defined correlation")
     return best
+
+
+def reference_estimate_exponents(factors, incidence, max_lag=DEFAULT_MAX_LAG):
+    """Exponents from one reference lag search per factor; undefined is 0."""
+    mags = []
+    for f in factors:
+        try:
+            mags.append(abs(reference_best_lag(f, incidence, max_lag).correlation))
+        except CorrelationUndefinedError:
+            mags.append(0.0)
+    return exponents_from_correlations(mags)
 
 
 def outcome(fn, *args):
@@ -165,6 +182,27 @@ class TestPearson:
         except CorrelationUndefinedError:
             return
         assert r2 == pytest.approx(r, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_reference(self, seed):
+        """r equals the scalar reference bit for bit, or raises the same error,
+        on random vectors with gaps and on affine images of them."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        xs = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301)
+        ys = rng.poisson(20.0, size=n).astype(float)
+        xs[rng.uniform(size=n) < 0.1] = np.nan
+        ys[rng.uniform(size=n) < 0.1] = np.nan
+        for scale, shift in ((1.0, 0.0), (2.0**-7, 1e8), (-3.0, 0.1), (1e-300, 0.0)):
+            x = scale * xs + shift
+            assert outcome(pearson, x, ys) == outcome(reference_pearson, x, ys)
+            assert outcome(pearson, ys, x) == outcome(reference_pearson, ys, x)
+
+    @given(st.lists(on_grid(2**31), min_size=0, max_size=40), power_of_two, on_grid(2**31))
+    def test_affine_bit_identical_to_reference(self, xs, scale, shift):
+        ys = list(np.random.default_rng(len(xs)).normal(size=len(xs)))
+        transformed = [scale * x + shift for x in xs]
+        assert outcome(pearson, transformed, ys) == outcome(reference_pearson, transformed, ys)
 
 
 class TestBestLag:
@@ -237,6 +275,30 @@ class TestRainfallCutoffs:
         with pytest.raises(ParameterError):
             rainfall_cutoffs(rain, inc, lag=2, grid_step=0.0)
 
+    def test_grid_over_the_cap_raises_without_allocating(self):
+        cap = calibrate._MAX_GRID_POINTS
+        rain = column([0.0, float(cap)] * 3)  # cap + 1 grid points at step 1
+        inc = column(range(6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                CalibrationError,
+                match=rf"^calibration.grid_step 1.0 is too fine: {cap + 1} grid points ",
+            ):
+                rainfall_cutoffs(rain, inc, lag=0, grid_step=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_at_the_cap_is_searched(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "_MAX_GRID_POINTS", 10)
+        rain = column([0.0, 3.0, 5.0, 9.0] * 3)
+        inc = column([0.0, 1.0, 1.0, 0.0] * 3)
+        assert rainfall_cutoffs(rain, inc, 0, 1.0) == reference_rainfall_cutoffs(rain, inc, 0, 1.0)
+        with pytest.raises(CalibrationError, match="too fine: 11 grid points"):
+            rainfall_cutoffs(column([0.0, 3.0, 5.0, 10.0] * 3), inc, 0, 1.0)
+
 
 PANEL_KINDS = (
     "random", "planted", "noisy", "gaps", "constant", "huge_offset", "tiny", "ties",
@@ -289,9 +351,67 @@ def drawn_panels(draw):
     return column(rain), column(inc)
 
 
+STACK_KINDS = ("own_gaps", "shared_gaps", "constant", "scaled", "past_the_end", "short")
+
+
+def lag_stack(kind, seed):
+    """Seeded (1-4 factor columns, incidence, max_lag) of one kind, for the
+    row-pass oracle. Factor 0 follows incidence at a planted lag."""
+    rng = np.random.default_rng([seed, STACK_KINDS.index(kind)])
+    m = 1 + seed % 4
+    n = {"short": int(rng.integers(0, 3)), "past_the_end": int(rng.integers(3, 9))}.get(
+        kind, int(rng.integers(20, 80))
+    )
+    max_lag = n + int(rng.integers(0, 3)) if kind in ("short", "past_the_end") else 6
+    inc = rng.poisson(20.0, size=n).astype(float)
+    factors = rng.normal(size=(m, n))
+    k = int(rng.integers(0, 7))
+    factors[0, : max(n - k, 0)] += inc[k:] / 5.0
+    if kind == "own_gaps":  # each factor misses its own months
+        factors[rng.uniform(size=(m, n)) < 0.2] = np.nan
+        inc[rng.uniform(size=n) < 0.1] = np.nan
+    elif kind == "shared_gaps":  # one mask: rows grouped, boolean-indexed
+        factors[:, rng.uniform(size=n) < 0.2] = np.nan
+        inc[rng.uniform(size=n) < 0.1] = np.nan
+    elif kind == "constant":  # means that round off the value, huge offsets
+        factors[m - 1] = 0.1
+        if m > 2:
+            factors[1] = 1e8 + np.arange(n) * 1e-7
+    elif kind == "scaled":  # squares that underflow or overflow
+        factors *= 10.0 ** rng.choice([-300, 300], size=(m, 1))
+        inc *= 10.0 ** rng.choice([-300, 300])
+    return list(factors), inc, max_lag
+
+
+@st.composite
+def drawn_stacks(draw):
+    """1-4 factor columns beside one incidence column, with shared or own
+    missing months."""
+    rain, inc = draw(drawn_panels())
+    rows = [rain] + [
+        column(draw(st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.just(math.nan)),
+            min_size=inc.size, max_size=inc.size,
+        )))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if draw(st.booleans()):  # the rain column's gaps in every row
+        rows = [np.where(np.isnan(rain), np.nan, r) for r in rows]
+    return rows, inc
+
+
+def assert_row_pass_matches(factors, inc, max_lag):
+    """best_lags gives each factor its reference result, or error, exactly."""
+    for f, result in zip(factors, best_lags(factors, inc, max_lag), strict=True):
+        if not isinstance(result, LagResult):
+            result = type(result), str(result)
+        assert result == outcome(reference_best_lag, f, inc, max_lag)
+
+
 class TestSearchMatchesLoops:
-    """The closed-form cutoff search and the sliced lag search give the same
-    result, or the same error, as the per-pair and per-lag loops."""
+    """The closed-form cutoff search and the row-batched lag search give the
+    same result, or the same error, as the per-pair and per-factor per-lag
+    loops over the scalar reference r."""
 
     @pytest.mark.parametrize("kind", PANEL_KINDS)
     @pytest.mark.parametrize("seed", range(4))
@@ -359,6 +479,44 @@ class TestSearchMatchesLoops:
         assert outcome(rainfall_cutoffs, rain, inc, lag, grid_step) == outcome(
             reference_rainfall_cutoffs, rain, inc, lag, grid_step
         )
+
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    @pytest.mark.parametrize("seed", range(16))
+    def test_row_pass_matches_per_factor_loop(self, kind, seed):
+        factors, inc, max_lag = lag_stack(kind, seed)
+        assert_row_pass_matches(factors, inc, max_lag)
+
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    @pytest.mark.parametrize("seed", range(3, 16, 4))
+    def test_exponents_match_per_factor_reference(self, kind, seed):
+        factors, inc, max_lag = lag_stack(kind, seed)  # four factors
+        assert outcome(estimate_exponents, factors, inc, max_lag) == outcome(
+            reference_estimate_exponents, factors, inc, max_lag
+        )
+
+    def test_length_mismatch_and_bad_max_lag(self):
+        inc = column(range(10))
+        with pytest.raises(ParameterError, match="length mismatch: 9 vs 10"):
+            best_lags([column(range(10)), column(range(9))], inc, 3)
+        with pytest.raises(ParameterError, match="max_lag must be >= 0"):
+            best_lags([column(range(10))], inc, -1)
+        assert best_lags([], inc, 3) == []
+
+    def test_lags_past_the_end_are_not_searched_one_by_one(self):
+        """Every lag past the span pairs no months, so a huge max_lag ends as
+        max_lag = n does, without a loop that long."""
+        rng = np.random.default_rng(0)
+        f, inc = rng.normal(size=12), rng.normal(size=12)
+        assert best_lag(f, inc, 10**12) == reference_best_lag(f, inc, 14)
+        assert outcome(best_lag, f[:2], inc[:2], 10**12) == outcome(
+            reference_best_lag, f[:2], inc[:2], 5
+        )
+
+    @settings(deadline=None)
+    @given(drawn_stacks(), st.integers(0, 7))
+    def test_drawn_stacks(self, stack, max_lag):
+        factors, inc = stack
+        assert_row_pass_matches(factors, inc, max_lag)
 
     @settings(deadline=None)
     @given(drawn_panels(), st.integers(-1, 7))

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from denguewatch.cli import main
+from denguewatch.config import load_config
 
 
 def run(capsys, *argv):
@@ -94,6 +95,74 @@ class TestConfigValidation:
         assert "calibration.lags" in err and "mobility" in err
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("region: [WP]", "region must be a region name, got ['WP']"),
+            ("detection: {rank_threshold: two}",
+             "detection.rank_threshold must be an integer, got 'two'"),
+            ("baseline: {threshold_quantile: high}",
+             "baseline.threshold_quantile must be a number, got 'high'"),
+            ("evaluation: {match_window: one}",
+             "evaluation.match_window must be an integer, got 'one'"),
+            ("membership: {rainfall_shoulder: x}",
+             "membership.rainfall_shoulder must be a number, got 'x'"),
+            ("membership: {humidity: 5}",
+             "membership.humidity must be null or a list of [x, y] number pairs, got 5"),
+            ("membership: {temperature: [[a, 0], [30, 1]]}",
+             "membership.temperature must be null or a list of [x, y] number pairs, "
+             "got [['a', 0], [30, 1]]"),
+            ("risk: {r_ideal: one}", "risk.r_ideal must be a number, got 'one'"),
+            ("risk: {mobility_c: abc}", "risk.mobility_c must be null or a number, got 'abc'"),
+            ("calibration: {exponents: [a, b, c, d]}",
+             "calibration.exponents must be null or a list of numbers, "
+             "got ['a', 'b', 'c', 'd']"),
+            ("calibration: {rainfall_cutoffs: [a, b]}",
+             "calibration.rainfall_cutoffs must be null or a list of 2 numbers, got ['a', 'b']"),
+            ("calibration: {rainfall_cutoffs: [100]}",
+             "calibration.rainfall_cutoffs must be null or a list of 2 numbers, got [100]"),
+            ("evaluation: {span_start: 2018-13, span_end: 2019-01}",
+             "evaluation.span_start must be null or a YYYY-MM month, got '2018-13'"),
+            ("evaluation: {span_start: 2018-01, span_end: 201901}",
+             "evaluation.span_end must be null or a YYYY-MM month, got 201901"),
+            ("calibration: {exponents: [1, 1, 1]}", "calibration.exponents needs exactly 4 values"),
+        ],
+    )
+    def test_wrong_type_or_shape(self, tmp_path, capsys, text, message):
+        err = self._run(tmp_path, capsys, text + "\n")
+        assert err == f"error: config: {message}\n"
+
+    def test_values_of_the_right_type_load(self, tmp_path):
+        p = tmp_path / "good.yaml"
+        p.write_text(
+            "region: NB\n"
+            "membership: {temperature: [[10, 0], [28.5, 1]], rainfall_shoulder: 1}\n"
+            "calibration: {rainfall_cutoffs: [150, 350.5], exponents: [1, 1.5, 0.5, 1]}\n"
+            "risk: {r_ideal: 1, mobility_c: 0.3}\n"
+            "baseline: {threshold_quantile: 0.9}\n"
+            "evaluation: {span_start: 2012-01, span_end: 2019-12}\n"
+        )
+        cfg = load_config(p)
+        assert cfg["region"] == "NB" and cfg["evaluation"]["span_end"] == "2019-12"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"detection": {"rank_threshold": 0}}, "rank_threshold must be >= 1, got 0"),
+            ({"baseline": {"threshold_quantile": 1.5}},
+             "threshold_quantile must lie in (0, 1), got 1.5"),
+            ({"evaluation": {"match_window": -1}}, "match_window must be >= 0, got -1"),
+        ],
+    )
+    def test_range_checks_stay_at_run_time(self, workspace, capsys, overrides, message):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "range.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, **overrides)))
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+
 # calibration.json of the quick-start panel with both searches fixed by the
 # config; the bytes are those the per-pair and per-lag loops wrote.
 FIXED_CALIBRATION_JSON = """\
@@ -139,6 +208,18 @@ class TestCalibrate:
         code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(out))
         assert code == 0, err
         assert (out / "calibration.json").read_text() == FIXED_CALIBRATION_JSON
+
+
+    def test_too_fine_grid_is_one_line_error(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "fine.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"grid_step": 0.0001})))
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert err == (
+            "error: calibration.grid_step 0.0001 is too fine: 4900001 grid points "
+            "in [30.0, 520.0], at most 2700 are searched\n"
+        )
 
 
 class TestSynth:
@@ -293,3 +374,24 @@ class TestUnreadableInput:
         )
         assert code == 2
         assert err == f"error: not a file: {data}\n"
+
+
+class TestMonthOutOfRange:
+    """A month outside 1..12 in an input file names the file and line."""
+
+    def test_series_file(self, workspace, capsys):
+        tmp_path, data, cfg_path = workspace
+        path = data / "rainfall.csv"
+        path.write_text(path.read_text() + "WP,2010-13,1\n")
+        line = path.read_text().count("\n")
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err == f"error: {path}: line {line}: month must be in 1..12, got 13\n"
+
+    def test_calendar(self, workspace, capsys):
+        tmp_path, data, cfg_path = workspace
+        path = data / "outbreaks.csv"
+        path.write_text("date\n2012-11\n2010-00\n")
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
+        assert code == 1
+        assert err == f"error: {path}: line 3: month must be in 1..12, got 0\n"

@@ -42,6 +42,8 @@ class TestMonthIndex:
     def test_invalid_month_rejected(self):
         with pytest.raises(ParameterError):
             MonthIndex(2010, 13)
+        with pytest.raises(IngestionError, match=r"^month must be in 1..12, got 0$"):
+            MonthIndex.parse("2010-00")  # input text: the loaders add file and line
 
     @given(st.integers(1990 * 12, 2050 * 12), st.integers(-120, 120))
     def test_add_then_subtract_is_identity(self, ordinal, k):
