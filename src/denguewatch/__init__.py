@@ -5,7 +5,7 @@ baseline for comparison."""
 from .panel import MonthIndex, MonthlySeries, MobilityMatrix, Panel, Variable
 from .fuzzy import PiecewiseLinearMF
 from .risk import Lags, MembershipFunctions, RiskParams, RiskSeries
-from .pareto import ObjectivePoint, detect_outbreaks, rank_points
+from .pareto import detect_outbreaks, rank_points
 from .evaluation import EvalResult, OutbreakCalendar, score
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "MobilityMatrix",
     "MonthIndex",
     "MonthlySeries",
-    "ObjectivePoint",
     "OutbreakCalendar",
     "Panel",
     "PiecewiseLinearMF",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularDesignError, UnderdeterminedError
 from .panel import Panel, Variable
-from .risk import Lags, input_columns, lagged_column
+from .risk import Lags, target_columns
 
 COLUMN_NAMES = (
     "intercept",
@@ -46,22 +46,15 @@ class GlmCoefficients:
 def build_design(panel: Panel, lags: Lags, region: str):
     """Design matrix, response vector, and the months each row belongs to.
 
-    Rows with any missing regressor or response are dropped. Raises
-    :class:`UnderdeterminedError` below 8 complete rows.
+    Rows with any missing regressor or response are dropped. The region's I
+    and S series must exist. Raises :class:`UnderdeterminedError` below 8
+    complete rows.
     """
-    if panel.span is None:
-        raise ParameterError("panel must be aligned before building the design")
+    cols = target_columns(panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE)
     start, _ = panel.span
-    inc = panel.get(region, Variable.INCIDENCE)
-    sus = panel.get(region, Variable.SUSCEPTIBLE)
-    if inc is None or sus is None:
-        raise ParameterError(f"incidence and susceptible series required for {region}")
-    cols = input_columns(panel, region, lags)
-    design = np.column_stack(
-        (np.ones(len(cols.rain)), cols.rain, cols.temp, cols.humid, cols.mobility,
-         cols.infected, cols.susceptible)
-    )
-    response = lagged_column(panel, region, Variable.INCIDENCE)
+    regressors = cols.inputs(lags)[:6]  # all but N
+    design = np.column_stack((np.ones(len(cols.rain)), *regressors))
+    response = cols.infected
     keep = ~(np.isnan(design).any(axis=1) | np.isnan(response))
     rows = int(keep.sum())
     if rows < _MIN_ROWS:

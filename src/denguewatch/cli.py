@@ -14,7 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .config import dump_defaults, load_config
 from .errors import ConfigError, DengueWatchError
-from .evaluation import load_calendar, score, write_calendar
+from .evaluation import load_calendar, write_calendar
 from .panel import MonthIndex, Variable, write_mobility, write_series
 from .risk import Lags
 from .synth import SynthConfig, generate
@@ -50,18 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(cfg: dict, out: Path) -> None:
-    scfg = cfg["synth"]
-    lags = Lags(**{k: int(v) for k, v in scfg["lags"].items()})
-    outbreaks = ()
-    if scfg["outbreak_months"]:
-        outbreaks = tuple(MonthIndex.parse(t) for t in scfg["outbreak_months"])
+    scfg = cfg["synth"]  # types checked by load_config
     config = SynthConfig(
-        months=int(scfg["months"]),
-        seed=int(scfg["seed"]),
+        months=scfg["months"],
+        seed=scfg["seed"],
         start=MonthIndex.parse(scfg["start"]),
-        planted_lags=lags,
+        planted_lags=Lags(**scfg["lags"]),
         rain_band=tuple(float(v) for v in scfg["rain_band"]),
-        outbreak_months=outbreaks,
+        outbreak_months=tuple(MonthIndex.parse(t) for t in scfg["outbreak_months"] or ()),
         noise_scale=float(scfg["noise_scale"]),
     )
     panel, calendar = generate(config)
@@ -84,58 +80,12 @@ def _cmd_synth(cfg: dict, out: Path) -> None:
     print(f"wrote synthetic panel ({config.months} months) to {out}")
 
 
-def _cmd_calibrate(cfg: dict, out: Path) -> None:
-    panel = pipeline.load_panel(cfg)
-    calibration = pipeline.calibrate_panel(panel, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "calibration.json"
-    pipeline._write_json(calibration.to_dict(), path)
-    print(f"wrote {path}")
-
-
-def _cmd_detect(cfg: dict, out: Path) -> None:
-    from .svgplot import objective_scatter_svg
-
-    panel = pipeline.load_panel(cfg)
-    calibration = pipeline.calibrate_panel(panel, cfg)
-    series, flagged = pipeline.detect(panel, cfg, calibration)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_risk_csv(series, out / "risk.csv")
-    pipeline.write_flagged_csv(flagged, out / "flagged.csv")
-    (out / "objective_space.svg").write_text(
-        objective_scatter_svg(series.months, flagged), encoding="utf-8"
-    )
-    print(f"flagged {len(flagged)} month(s); artifacts in {out}")
-
-
-def _cmd_baseline(cfg: dict, out: Path) -> None:
-    panel = pipeline.load_panel(cfg)
-    calibration = pipeline.calibrate_panel(panel, cfg)
-    _, months, fitted, predicted = pipeline.run_baseline(panel, cfg, calibration)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_baseline_csv(months, fitted, predicted, out / "baseline.csv")
-    print(f"predicted {len(predicted)} month(s); artifacts in {out}")
-
-
 def _cmd_evaluate(cfg: dict, out: Path, predictions: str, actual: str) -> None:
     predicted = load_calendar(predictions).months
-    actual_cal = load_calendar(actual)
-    span = pipeline.evaluation_span(cfg, predicted, actual_cal.months)
-    result = score(predicted, actual_cal, span, cfg["evaluation"]["match_window"])
+    payload = pipeline.evaluation_payload(cfg, load_calendar(actual), predicted, result=predicted)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "span": {"start": str(span[0]), "end": str(span[1])},
-        "match_window": cfg["evaluation"]["match_window"],
-        "result": result.to_dict(),
-    }
     pipeline._write_json(payload, out / "evaluation.json")
     print(json.dumps(payload["result"], sort_keys=True))
-
-
-def _cmd_report(cfg: dict, out: Path) -> None:
-    summary = pipeline.report(cfg, out)
-    print(f"flagged months: {', '.join(summary['flagged']) or '(none)'}")
-    print(f"artifacts in {out}")
 
 
 def main(argv=None) -> int:
@@ -152,16 +102,10 @@ def main(argv=None) -> int:
         out = Path(args.out)
         if args.command == "synth":
             _cmd_synth(cfg, out)
-        elif args.command == "calibrate":
-            _cmd_calibrate(cfg, out)
-        elif args.command == "detect":
-            _cmd_detect(cfg, out)
-        elif args.command == "baseline":
-            _cmd_baseline(cfg, out)
         elif args.command == "evaluate":
             _cmd_evaluate(cfg, out, args.predictions, args.actual)
         else:
-            _cmd_report(cfg, out)
+            print(pipeline.report(cfg, out, args.command))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

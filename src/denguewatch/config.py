@@ -141,6 +141,15 @@ _TYPES = (
     ("evaluation.match_window", _is_int, "an integer"),
     ("evaluation.span_start", _is_month, "a YYYY-MM month"),
     ("evaluation.span_end", _is_month, "a YYYY-MM month"),
+    *((f"inputs.{name}", lambda v: isinstance(v, str), "a file path")
+      for name in DEFAULT_CONFIG["inputs"]),
+    ("synth.months", _is_int, "an integer"),
+    ("synth.seed", _is_int, "an integer"),
+    ("synth.start", _is_month, "a YYYY-MM month"),
+    ("synth.rain_band", lambda v: _is_numbers(v, 2), "a list of 2 numbers"),
+    ("synth.outbreak_months", lambda v: isinstance(v, list) and all(map(_is_month, v)),
+     "a list of YYYY-MM months"),
+    ("synth.noise_scale", _is_number, "a number"),
 )
 
 

@@ -118,87 +118,3 @@ def write_calendar(calendar: OutbreakCalendar, path) -> None:
         writer.writerow(["date"])
         for t in calendar.months:
             writer.writerow([str(t)])
-
-
-def _months(*pairs):
-    return tuple(MonthIndex(y, m) for y, m in pairs)
-
-
-def table2_fixture():
-    """Published comparison rows: actual outbreaks and both methods' flags.
-
-    Dashes in the source table are omitted; the duplicated multi-criteria
-    month (July 2013 appears against two actual rows) collapses in the set.
-    """
-    actual = OutbreakCalendar(
-        _months(
-            (2010, 7),
-            (2011, 7),
-            (2011, 12),
-            (2012, 6),
-            (2012, 7),
-            (2012, 8),
-            (2012, 11),
-            (2013, 7),
-            (2013, 8),
-            (2014, 1),
-            (2014, 6),
-            (2014, 11),
-            (2015, 1),
-            (2016, 1),
-            (2016, 7),
-            (2017, 1),
-            (2017, 5),
-            (2017, 6),
-            (2017, 7),
-            (2017, 8),
-            (2017, 12),
-            (2018, 7),
-            (2018, 11),
-        )
-    )
-    multicriteria = set(
-        _months(
-            (2010, 7),
-            (2011, 7),
-            (2011, 12),
-            (2012, 7),
-            (2013, 7),
-            (2014, 6),
-            (2015, 1),
-            (2016, 1),
-            (2016, 7),
-            (2017, 1),
-            (2017, 5),
-            (2017, 6),
-            (2017, 7),
-            (2017, 8),
-            (2018, 1),
-            (2018, 7),
-            (2018, 11),
-        )
-    )
-    regression = set(
-        _months(
-            (2010, 8),
-            (2011, 8),
-            (2012, 1),
-            (2012, 7),
-            (2012, 11),
-            (2013, 7),
-            (2013, 8),
-            (2013, 12),
-            (2014, 7),
-            (2014, 11),
-            (2015, 1),
-            (2016, 2),
-            (2016, 8),
-            (2017, 1),
-            (2017, 6),
-            (2017, 7),
-            (2017, 8),
-            (2017, 12),
-            (2018, 8),
-        )
-    )
-    return actual, multicriteria, regression

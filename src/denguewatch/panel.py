@@ -120,13 +120,6 @@ class MonthlySeries:
         """Last month covered (inclusive)."""
         return self.start + (len(self.values) - 1)
 
-    def value_at(self, t: MonthIndex):
-        """Value for month t, or None outside the span / at a gap."""
-        i = t - self.start
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return None
-
     def to_array(self) -> np.ndarray:
         """float array with NaN for missing months."""
         return np.array(self.values, dtype=float)

@@ -20,14 +20,6 @@ DEFAULT_RANK_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
-class ObjectivePoint:
-    t: MonthIndex
-    d1: float
-    d2: float
-    rank: int = -1  # -1 = not yet ranked
-
-
-@dataclass(frozen=True)
 class FlaggedMonth:
     t: MonthIndex
     d1: float
@@ -37,21 +29,19 @@ class FlaggedMonth:
     reliability: float
 
 
-def rank_points(points) -> list:
-    """Assign each point its dominator count.
+def rank_points(d1, d2) -> np.ndarray:
+    """Each point's dominator count, for points ``(d1[i], d2[i])``.
 
     Vectorized over the full pairwise comparison; exactly equal points tie
     at the same rank (an equal point does not dominate).
     """
-    points = list(points)
-    if not points:
+    d1 = np.asarray(d1, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
+    if not d1.size:
         raise ParameterError("rank_points requires a nonempty point set")
-    d1 = np.array([p.d1 for p in points])
-    d2 = np.array([p.d2 for p in points])
     le = (d1[:, None] <= d1[None, :]) & (d2[:, None] <= d2[None, :])
     strict = (d1[:, None] < d1[None, :]) | (d2[:, None] < d2[None, :])
-    counts = (le & strict).sum(axis=0)
-    return [ObjectivePoint(p.t, p.d1, p.d2, int(c)) for p, c in zip(points, counts)]
+    return (le & strict).sum(axis=0)
 
 
 def reliability(d1: float, d2: float) -> float:
@@ -70,18 +60,15 @@ def detect_outbreaks(
     """
     if rank_threshold < 1:
         raise ParameterError(f"rank_threshold must be >= 1, got {rank_threshold}")
-    points = [ObjectivePoint(m.t, m.d1, m.d2) for m in risk.months]
-    ranked = rank_points(points)
+    ranks = rank_points([m.d1 for m in risk.months], [m.d2 for m in risk.months])
     flagged = []
-    for p in ranked:
-        if p.rank == 0:
+    for m, rank in zip(risk.months, ranks.tolist()):
+        if rank == 0:
             flag = "front"
-        elif p.rank <= rank_threshold:
+        elif rank <= rank_threshold:
             flag = "near"
         else:
             continue
-        flagged.append(
-            FlaggedMonth(p.t, p.d1, p.d2, p.rank, flag, reliability(p.d1, p.d2))
-        )
+        flagged.append(FlaggedMonth(m.t, m.d1, m.d2, rank, flag, reliability(m.d1, m.d2)))
     flagged.sort(key=lambda f: f.t)
     return flagged

@@ -1,8 +1,8 @@
 """Orchestration shared by the CLI subcommands.
 
 Each stage is a plain function from (panel, config) to results; ``report``
-chains them and writes the artifact set. All emitted bytes are deterministic
-for identical inputs and configuration.
+runs the ones a subcommand's artifacts need and writes them. All emitted
+bytes are deterministic for identical inputs and configuration.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,9 @@ from .risk import (
     default_mobility_c,
     mobility_risk,
     objective_space,
+    target_columns,
 )
+from .svgplot import objective_scatter_svg
 
 _INPUT_VARIABLES = {
     "rainfall": Variable.RAINFALL,
@@ -72,8 +75,8 @@ def load_panel(cfg: dict) -> Panel:
 
 
 def mobility_risk_series(panel: Panel, region: str) -> np.ndarray:
-    """R_mob at lag 0 over the aligned span: the mobility factor calibration
-    searches, and the column whose maximum is the default ``mobility_c``."""
+    """R_mob at lag 0 over the aligned span, as in :func:`target_columns`.
+    The stages read it from there; ``bench/spans.py`` traces this name."""
     return mobility_risk(panel, region)
 
 
@@ -104,23 +107,18 @@ class Calibration:
         }
 
 
-def _factor_columns(panel: Panel, region: str) -> dict:
-    return {
-        "rain": panel.require(region, Variable.RAINFALL).to_array(),
-        "temp": panel.require(region, Variable.TEMPERATURE).to_array(),
-        "humid": panel.require(region, Variable.HUMIDITY).to_array(),
-        "mobility": mobility_risk_series(panel, region),
-    }
-
-
 def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
     """Resolve lags, rainfall cutoffs, exponents, and the mobility normalizer,
     searching only for whatever the config leaves null."""
     region = cfg["region"]
     ccfg = cfg["calibration"]
     max_lag = ccfg["max_lag"]
-    incidence = panel.require(region, Variable.INCIDENCE).to_array()
-    factors = _factor_columns(panel, region)
+    cols = target_columns(
+        panel, region, Variable.INCIDENCE, Variable.RAINFALL, Variable.TEMPERATURE,
+        Variable.HUMIDITY,
+    )
+    incidence = cols.infected
+    factors = {"rain": cols.rain, "temp": cols.temp, "humid": cols.humid, "mobility": cols.mobility}
 
     correlations = {}
     if ccfg["lags"] is not None:
@@ -211,14 +209,23 @@ def run_baseline(panel: Panel, cfg: dict, calibration: Calibration):
     return coeffs, months, fitted, predicted
 
 
-def evaluation_span(cfg: dict, *month_sets):
+def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
+    """Each named prediction scored against the ``actual`` calendar, over the
+    configured span, or else from the first to the last of ``months`` and the
+    actual months."""
     ecfg = cfg["evaluation"]
     if ecfg["span_start"] is not None and ecfg["span_end"] is not None:
-        return MonthIndex.parse(ecfg["span_start"]), MonthIndex.parse(ecfg["span_end"])
-    months = [t for ms in month_sets for t in ms]
-    if not months:
-        raise PipelineError("cannot infer an evaluation span from empty month sets")
-    return min(months), max(months)
+        span = MonthIndex.parse(ecfg["span_start"]), MonthIndex.parse(ecfg["span_end"])
+    else:
+        every = [*months, *actual.months]
+        if not every:
+            raise PipelineError("cannot infer an evaluation span from empty month sets")
+        span = min(every), max(every)
+    window = ecfg["match_window"]
+    payload = {"span": {"start": str(span[0]), "end": str(span[1])}, "match_window": window}
+    for name, months_predicted in predicted.items():
+        payload[name] = score(months_predicted, actual, span, window).to_dict()
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +270,76 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def report(cfg: dict, out_dir) -> dict:
-    """Full pipeline: calibrate, detect, baseline, evaluate, plot.
+@dataclass
+class _Run:
+    """The stages of one run, each computed on first use."""
 
-    Returns a summary dict. Every stage runs before the first file is written,
-    so a failed run leaves nothing under ``out_dir``.
+    cfg: dict
+    panel = cached_property(lambda run: load_panel(run.cfg))
+    calibration = cached_property(lambda run: calibrate_panel(run.panel, run.cfg))
+    detection = cached_property(lambda run: detect(run.panel, run.cfg, run.calibration))
+    series = property(lambda run: run.detection[0])
+    flagged = property(lambda run: run.detection[1])
+    svg = cached_property(lambda run: objective_scatter_svg(run.series.months, run.flagged))
+    baseline = cached_property(lambda run: run_baseline(run.panel, run.cfg, run.calibration))
+
+    @cached_property
+    def evaluation(self):
+        """Both methods scored against ``inputs.actual_outbreaks``; None when
+        that is not set."""
+        path = self.cfg["inputs"]["actual_outbreaks"]
+        if path is None:
+            return None
+        return evaluation_payload(
+            self.cfg, load_calendar(path), [m.t for m in self.series.months],
+            multicriteria=[f.t for f in self.flagged], baseline=self.baseline[3],
+        )
+
+
+# Each artifact file: run -> a writer of the path holding the computed values,
+# or None when the run has nothing to write there.
+_ARTIFACTS = {
+    "calibration.json": lambda run: partial(_write_json, run.calibration.to_dict()),
+    "risk.csv": lambda run: partial(write_risk_csv, run.series),
+    "flagged.csv": lambda run: partial(write_flagged_csv, run.flagged),
+    "objective_space.svg": lambda run: partial(Path.write_text, data=run.svg, encoding="utf-8"),
+    "baseline.csv": lambda run: partial(write_baseline_csv, *run.baseline[1:]),
+    "evaluation.json": lambda run: run.evaluation and partial(_write_json, run.evaluation),
+}
+
+#: Each pipeline subcommand: its artifact files, and the summary it prints.
+SUBCOMMANDS = {
+    "calibrate": (("calibration.json",), lambda run, out: f"wrote {out / 'calibration.json'}"),
+    "detect": (
+        ("risk.csv", "flagged.csv", "objective_space.svg"),
+        lambda run, out: f"flagged {len(run.flagged)} month(s); artifacts in {out}",
+    ),
+    "baseline": (
+        ("baseline.csv",),
+        lambda run, out: f"predicted {len(run.baseline[3])} month(s); artifacts in {out}",
+    ),
+    "report": (
+        tuple(_ARTIFACTS),
+        lambda run, out: "flagged months: "
+        + (", ".join(str(f.t) for f in run.flagged) or "(none)")
+        + f"\nartifacts in {out}",
+    ),
+}
+
+
+def report(cfg: dict, out_dir, command: str = "report") -> str:
+    """Run a pipeline subcommand: compute the stages its artifact files need,
+    then write them under ``out_dir``. Returns its summary.
+
+    Every stage runs before the first file is written, so a failed run
+    leaves nothing under ``out_dir``.
     """
-    from .svgplot import objective_scatter_svg
-
-    panel = load_panel(cfg)
-    calibration = calibrate_panel(panel, cfg)
-    series, flagged = detect(panel, cfg, calibration)
-    svg = objective_scatter_svg(series.months, flagged)
-    coeffs, months, fitted, predicted = run_baseline(panel, cfg, calibration)
-
-    actual_path = cfg["inputs"]["actual_outbreaks"]
-    evaluation = {}
-    if actual_path is not None:
-        actual = load_calendar(actual_path)
-        window = cfg["evaluation"]["match_window"]
-        span = evaluation_span(cfg, [m.t for m in series.months], actual.months)
-        evaluation = {
-            "span": {"start": str(span[0]), "end": str(span[1])},
-            "match_window": window,
-            "multicriteria": score([f.t for f in flagged], actual, span, window).to_dict(),
-            "baseline": score(predicted, actual, span, window).to_dict(),
-        }
-
+    names, summary = SUBCOMMANDS[command]
+    run = _Run(cfg)
+    writers = {name: _ARTIFACTS[name](run) for name in names}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(calibration.to_dict(), out / "calibration.json")
-    write_risk_csv(series, out / "risk.csv")
-    write_flagged_csv(flagged, out / "flagged.csv")
-    (out / "objective_space.svg").write_text(svg, encoding="utf-8")
-    write_baseline_csv(months, fitted, predicted, out / "baseline.csv")
-    if evaluation:
-        _write_json(evaluation, out / "evaluation.json")
-
-    return {
-        "calibration": calibration.to_dict(),
-        "flagged": [str(f.t) for f in flagged],
-        "baseline_predicted": [str(t) for t in predicted],
-        "evaluation": evaluation,
-    }
+    for name, write in writers.items():
+        if write:
+            write(out / name)
+    return summary(run, out)

@@ -1,4 +1,4 @@
-"""Risk composition: lagged input columns, mobility risk, and the
+"""Risk composition: a target's input columns, mobility risk, and the
 two-objective closeness space.
 
 For a target region the model maps each admissible month t to
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MissingDataError, ParameterError, PipelineError
 from .fuzzy import PiecewiseLinearMF
-from .panel import MonthIndex, Panel, Variable
+from .panel import MobilityMatrix, MonthIndex, Panel, Variable
 
 
 @dataclass(frozen=True)
@@ -85,25 +84,59 @@ class RiskSeries:
     skipped: tuple = ()  # months excluded for missing lagged inputs
 
 
-def lagged_column(panel: Panel, region: str, variable: Variable, lag: int = 0) -> np.ndarray:
-    """``variable`` of ``region`` at month t - lag, for every month t of the
-    aligned span; NaN where that month is missing or outside the series, and
-    everywhere when the region has no such series."""
-    start, end = panel.span
-    out = np.full(end - start + 1, np.nan)
-    series = panel.get(region, variable)
-    if series is not None:
-        values = series.to_array()
-        first = (start - lag) - series.start  # index of month start - lag in values
-        lo, hi = max(0, -first), min(out.size, values.size - first)
-        if lo < hi:
-            out[lo:hi] = values[first + lo : first + hi]
+@dataclass(frozen=True)
+class TargetColumns:
+    """A target region's series over the aligned span, one entry per month:
+    NaN where a month is missing, all-NaN where the region lacks the series."""
+
+    rain: np.ndarray
+    temp: np.ndarray
+    humid: np.ndarray
+    mobility: np.ndarray  # R_mob
+    infected: np.ndarray
+    susceptible: np.ndarray
+    population: np.ndarray
+    mobility_pad: float  # R_mob before the span: 0.0, an empty sum, when unfed
+
+    def inputs(self, lags: Lags) -> tuple:
+        """Each month t's model inputs: rain, temp, humid and R_mob at t
+        minus their lag, then I, S and N at t - 1."""
+        return (
+            shift(self.rain, lags.rain),
+            shift(self.temp, lags.temp),
+            shift(self.humid, lags.humid),
+            shift(self.mobility, lags.mobility, self.mobility_pad),
+            shift(self.infected, 1),
+            shift(self.susceptible, 1),
+            shift(self.population, 1),
+        )
+
+
+def shift(column: np.ndarray, lag: int, fill: float = np.nan) -> np.ndarray:
+    """``column`` at month t - lag for every month t of its span; the first
+    ``lag`` months, whose source precedes the span, are ``fill``."""
+    out = np.full(column.size, fill)
+    out[lag:] = column[: max(column.size - lag, 0)]
     return out
 
 
-def mobility_risk(panel: Panel, region: str, lag: int = 0) -> np.ndarray:
-    """R_mob(region, t - lag) = sum_j w_ij * I_j / N_j for every month t of
-    the aligned span.
+def _column(panel: Panel, region: str, variable: Variable) -> np.ndarray:
+    series = panel.get(region, variable)
+    if series is None:
+        return np.full(panel.span[1] - panel.span[0] + 1, np.nan)
+    return series.to_array()
+
+
+def _feeders(mobility: MobilityMatrix, region: str) -> list:
+    if region not in mobility.regions:
+        return []
+    row = mobility.weights[mobility.regions.index(region)]
+    return [(j, w) for j, w in zip(mobility.regions, row) if w > 0.0]
+
+
+def mobility_risk(panel: Panel, region: str) -> np.ndarray:
+    """R_mob(region, t) = sum_j w_ij * I_j / N_j for every month t of the
+    aligned span.
 
     Only positive weights contribute, so a region behind a zero weight may
     lack data. A month is NaN when a region behind a positive weight has no
@@ -111,56 +144,43 @@ def mobility_risk(panel: Panel, region: str, lag: int = 0) -> np.ndarray:
     without a mobility matrix gives all-NaN.
     """
     start, end = panel.span
-    mobility = panel.mobility
-    if mobility is None:
+    if panel.mobility is None:
         return np.full(end - start + 1, np.nan)
     total = np.zeros(end - start + 1)
-    if region not in mobility.regions:
-        return total
-    row = mobility.weights[mobility.regions.index(region)]
-    for j, w in zip(mobility.regions, row):
-        if w > 0.0:
-            pop = lagged_column(panel, j, Variable.POPULATION, lag)
-            pop[pop == 0.0] = np.nan
-            # Not W @ density: 0 * NaN would poison months behind zero weights.
-            total += w * (lagged_column(panel, j, Variable.INCIDENCE, lag) / pop)
+    for j, w in _feeders(panel.mobility, region):
+        pop = _column(panel, j, Variable.POPULATION)
+        pop[pop == 0.0] = np.nan
+        # Not W @ density: 0 * NaN would poison months behind zero weights.
+        total += w * (_column(panel, j, Variable.INCIDENCE) / pop)
     return total
 
 
-class InputColumns(NamedTuple):
-    """A target's model inputs for every month t of the aligned span, NaN
-    where the input month is missing or precedes the series."""
-
-    rain: np.ndarray  # at t - lags.rain
-    temp: np.ndarray  # at t - lags.temp
-    humid: np.ndarray  # at t - lags.humid
-    mobility: np.ndarray  # R_mob at t - lags.mobility
-    infected: np.ndarray  # at t - 1
-    susceptible: np.ndarray  # at t - 1
-    population: np.ndarray  # at t - 1
-
-
-def input_columns(panel: Panel, region: str, lags: Lags) -> InputColumns:
-    return InputColumns(
-        lagged_column(panel, region, Variable.RAINFALL, lags.rain),
-        lagged_column(panel, region, Variable.TEMPERATURE, lags.temp),
-        lagged_column(panel, region, Variable.HUMIDITY, lags.humid),
-        mobility_risk(panel, region, lags.mobility),
-        lagged_column(panel, region, Variable.INCIDENCE, 1),
-        lagged_column(panel, region, Variable.SUSCEPTIBLE, 1),
-        lagged_column(panel, region, Variable.POPULATION, 1),
+def target_columns(panel: Panel, region: str, *required: Variable) -> TargetColumns:
+    """The region's columns at lag 0 over the aligned span. Each series in
+    ``required`` must exist (:class:`MissingSeriesError` otherwise); any
+    other the region lacks is all-NaN."""
+    if panel.span is None:
+        raise ParameterError("panel must be aligned before building columns")
+    for variable in required:
+        panel.require(region, variable)
+    return TargetColumns(
+        _column(panel, region, Variable.RAINFALL),
+        _column(panel, region, Variable.TEMPERATURE),
+        _column(panel, region, Variable.HUMIDITY),
+        mobility_risk(panel, region),
+        _column(panel, region, Variable.INCIDENCE),
+        _column(panel, region, Variable.SUSCEPTIBLE),
+        _column(panel, region, Variable.POPULATION),
+        0.0 if panel.mobility is not None and not _feeders(panel.mobility, region) else np.nan,
     )
 
 
-def incidence_peak(panel: Panel, region: str) -> float:
-    """Maximum infected count over the (calibration) span of the panel."""
-    inc = panel.get(region, Variable.INCIDENCE)
-    if inc is None:
-        raise MissingDataError(f"no incidence series for region {region}")
-    present = [v for v in inc.values if v is not None]
-    if not present:
+def incidence_peak(infected: np.ndarray, region: str) -> float:
+    """Maximum infected count over the (calibration) span, skipping NaN."""
+    present = infected[~np.isnan(infected)]
+    if not present.size:
         raise MissingDataError(f"incidence series for region {region} is all-missing")
-    peak = max(present)
+    peak = float(present.max())
     if peak == 0:
         raise ParameterError(f"region {region} never records an infected host")
     return peak
@@ -172,26 +192,27 @@ def objective_space(
     """Map every admissible month of the aligned span into (d1, d2).
 
     Months whose lagged inputs are missing are omitted and listed in
-    ``skipped``. Raises :class:`PipelineError` if nothing is admissible.
+    ``skipped``. The region's I, S and N series must exist. Raises
+    :class:`PipelineError` if nothing is admissible.
     """
-    if panel.span is None:
-        raise ParameterError("panel must be aligned before building objective space")
-    start, end = panel.span
-    i_peak = incidence_peak(panel, region)
-    cols = input_columns(panel, region, params.lags)
-    zero_pop = np.flatnonzero(
-        ~np.isnan(cols.infected) & ~np.isnan(cols.susceptible) & (cols.population == 0.0)
+    cols = target_columns(
+        panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION
     )
+    start, end = panel.span
+    i_peak = incidence_peak(cols.infected, region)
+    inputs = cols.inputs(params.lags)
+    rain, temp, humid, r_mob, infected, susceptible, population = inputs
+    zero_pop = np.flatnonzero(~np.isnan(infected) & ~np.isnan(susceptible) & (population == 0.0))
     if zero_pop.size:
         raise ParameterError(
             f"region {region} has zero population at {start + (int(zero_pop[0]) - 1)}"
         )
-    ok = ~np.isnan(np.column_stack(cols)).any(axis=1)
+    ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
     degrees = zip(
-        mfs.rain.evaluate(cols.rain[ok]),
-        mfs.temp.evaluate(cols.temp[ok]),
-        mfs.humid.evaluate(cols.humid[ok]),
-        mfs.mobility.evaluate(cols.mobility[ok]),
+        mfs.rain.evaluate(rain[ok]),
+        mfs.temp.evaluate(temp[ok]),
+        mfs.humid.evaluate(humid[ok]),
+        mfs.mobility.evaluate(r_mob[ok]),
     )
     # Python float ** (libm pow): numpy's array ** can differ in the last bit.
     r = np.clip(
@@ -199,8 +220,8 @@ def objective_space(
         0.0,
         1.0,
     )
-    l = np.clip(cols.susceptible[ok] / cols.population[ok], 0.0, 1.0) * np.clip(
-        cols.infected[ok] / i_peak, 0.0, 1.0
+    l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
+        infected[ok] / i_peak, 0.0, 1.0
     )
     d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
     d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)

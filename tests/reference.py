@@ -10,6 +10,9 @@ same exception with the same message, on any file these accept or reject.
 ``reference_pearson`` is the scalar Pearson r as it was before the lag
 search correlated all factors in one pass: the row pass in
 ``denguewatch.calibrate`` must give bit-identical r, or the same error.
+
+``table2_fixture`` holds the published comparison rows the acceptance and
+evaluation tests score.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from denguewatch.errors import CorrelationUndefinedError, IngestionError, ParameterError
+from denguewatch.evaluation import OutbreakCalendar
 from denguewatch.panel import (
     MOBILITY_HEADER,
     SERIES_HEADER,
@@ -51,10 +55,33 @@ def load_series(path, variable: Variable, region: Optional[str] = None) -> Month
     return next(iter(table.values()))
 
 
+def value_at(series: MonthlySeries, t: MonthIndex):
+    """The series' value for month t, or None outside its span or at a gap."""
+    i = t - series.start
+    if 0 <= i < len(series.values):
+        return series.values[i]
+    return None
+
+
+class Point(NamedTuple):
+    """A month's place in objective space, with its dominator count once ranked."""
+
+    t: MonthIndex
+    d1: float
+    d2: float
+    rank: int = -1  # -1 = not yet ranked
+
+
+def with_ranks(points) -> list:
+    """``points`` with the ranks ``rank_points`` gives them."""
+    points = list(points)
+    counts = rank_points([p.d1 for p in points], [p.d2 for p in points])
+    return [p._replace(rank=int(c)) for p, c in zip(points, counts)]
+
+
 def pareto_front(points) -> list:
     """The rank-0 (non-dominated) points, sorted by month."""
-    ranked = rank_points(points)
-    return sorted((p for p in ranked if p.rank == 0), key=lambda p: p.t)
+    return sorted((p for p in with_ranks(points) if p.rank == 0), key=lambda p: p.t)
 
 
 def _read_rows(path) -> list:
@@ -174,3 +201,87 @@ def reference_pearson(x, y) -> float:
         raise CorrelationUndefinedError("zero variance in at least one argument")
     r = (float((xc * yc).sum()) - ex * ey / n) / (sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+def _months(*pairs):
+    return tuple(MonthIndex(y, m) for y, m in pairs)
+
+
+def table2_fixture():
+    """Published comparison rows: actual outbreaks and both methods' flags.
+
+    Dashes in the source table are omitted; the duplicated multi-criteria
+    month (July 2013 appears against two actual rows) collapses in the set.
+    """
+    actual = OutbreakCalendar(
+        _months(
+            (2010, 7),
+            (2011, 7),
+            (2011, 12),
+            (2012, 6),
+            (2012, 7),
+            (2012, 8),
+            (2012, 11),
+            (2013, 7),
+            (2013, 8),
+            (2014, 1),
+            (2014, 6),
+            (2014, 11),
+            (2015, 1),
+            (2016, 1),
+            (2016, 7),
+            (2017, 1),
+            (2017, 5),
+            (2017, 6),
+            (2017, 7),
+            (2017, 8),
+            (2017, 12),
+            (2018, 7),
+            (2018, 11),
+        )
+    )
+    multicriteria = set(
+        _months(
+            (2010, 7),
+            (2011, 7),
+            (2011, 12),
+            (2012, 7),
+            (2013, 7),
+            (2014, 6),
+            (2015, 1),
+            (2016, 1),
+            (2016, 7),
+            (2017, 1),
+            (2017, 5),
+            (2017, 6),
+            (2017, 7),
+            (2017, 8),
+            (2018, 1),
+            (2018, 7),
+            (2018, 11),
+        )
+    )
+    regression = set(
+        _months(
+            (2010, 8),
+            (2011, 8),
+            (2012, 1),
+            (2012, 7),
+            (2012, 11),
+            (2013, 7),
+            (2013, 8),
+            (2013, 12),
+            (2014, 7),
+            (2014, 11),
+            (2015, 1),
+            (2016, 2),
+            (2016, 8),
+            (2017, 1),
+            (2017, 6),
+            (2017, 7),
+            (2017, 8),
+            (2017, 12),
+            (2018, 8),
+        )
+    )
+    return actual, multicriteria, regression

@@ -126,6 +126,10 @@ class TestConfigValidation:
             ("evaluation: {span_start: 2018-01, span_end: 201901}",
              "evaluation.span_end must be null or a YYYY-MM month, got 201901"),
             ("calibration: {exponents: [1, 1, 1]}", "calibration.exponents needs exactly 4 values"),
+            ("synth: {months: x}", "synth.months must be an integer, got 'x'"),
+            ("synth: {rain_band: [a, b]}",
+             "synth.rain_band must be a list of 2 numbers, got ['a', 'b']"),
+            ("inputs: {rainfall: 5}", "inputs.rainfall must be null or a file path, got 5"),
         ],
     )
     def test_wrong_type_or_shape(self, tmp_path, capsys, text, message):
@@ -319,11 +323,64 @@ class TestReport:
         cfg_path = tmp_path / "collinear.yaml"
         lags = {"rain": 1, "temp": 3, "humid": 0, "mobility": 2}
         cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"lags": lags})))
-        out = tmp_path / "r"
-        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
-        assert code == 1
-        assert err == "error: design is rank deficient; collinear columns: infected_prev\n"
-        assert not out.exists() or not any(out.iterdir())
+        for command in ("baseline", "report"):
+            out = tmp_path / command
+            code, _, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+            assert code == 1
+            assert err == "error: design is rank deficient; collinear columns: infected_prev\n"
+            assert not out.exists()
+
+
+class TestPipelineSubcommands:
+    @pytest.mark.parametrize(
+        "command, files, summary",
+        [
+            ("calibrate", ["calibration.json"], "wrote {out}/calibration.json\n"),
+            ("detect", ["flagged.csv", "objective_space.svg", "risk.csv"],
+             "flagged 5 month(s); artifacts in {out}\n"),
+            ("baseline", ["baseline.csv"], "predicted 5 month(s); artifacts in {out}\n"),
+        ],
+    )
+    def test_writes_its_subset_of_the_report(self, workspace, capsys, command, files, summary):
+        tmp_path, _, cfg_path = workspace
+        full, out = tmp_path / "report", tmp_path / command
+        assert run(capsys, "--config", str(cfg_path), "report", "--out", str(full))[0] == 0
+        code, stdout, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+        assert code == 0, err
+        assert stdout == summary.format(out=out)
+        assert sorted(p.name for p in out.iterdir()) == files
+        for name in files:
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
+class TestMissingTargetSeries:
+    """A target without the S or N series that a stage reads: one line naming
+    the series, exit 1, nothing written."""
+
+    def _drop(self, data, variable):
+        path = data / f"{variable}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if variable == "susceptible":  # only WP has one: hand it to NB instead
+            path.write_text("".join(line.replace("WP,", "NB,", 1) for line in lines))
+        else:
+            path.write_text("".join(line for line in lines if not line.startswith("WP,")))
+
+    @pytest.mark.parametrize(
+        "variable, failing",
+        [("population", ("detect", "report")), ("susceptible", ("detect", "baseline", "report"))],
+    )
+    def test_names_the_series(self, workspace, capsys, variable, failing):
+        tmp_path, data, cfg_path = workspace
+        self._drop(data, variable)
+        for command in ("detect", "baseline", "report"):
+            out = tmp_path / command
+            code, _, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+            if command in failing:
+                assert code == 1
+                assert err == f"error: panel has no series for (WP, {variable}_count)\n"
+                assert not out.exists()
+            else:
+                assert code == 0, err
 
 
 class TestUnreadableInput:

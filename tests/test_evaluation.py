@@ -6,10 +6,11 @@ from denguewatch.evaluation import (
     OutbreakCalendar,
     load_calendar,
     score,
-    table2_fixture,
     write_calendar,
 )
 from denguewatch.panel import MonthIndex
+
+from reference import table2_fixture
 
 SPAN = (MonthIndex(2010, 4), MonthIndex(2018, 12))  # 105 months
 

@@ -8,23 +8,22 @@ from denguewatch.errors import ParameterError
 from denguewatch.panel import MonthIndex
 from denguewatch.pareto import (
     FlaggedMonth,
-    ObjectivePoint,
     detect_outbreaks,
     rank_points,
     reliability,
 )
 from denguewatch.risk import RiskMonth, RiskSeries
 
-from reference import pareto_front
+from reference import Point, pareto_front, with_ranks
 
 T0 = MonthIndex(2010, 1)
 
 
 def points(*coords):
-    return [ObjectivePoint(T0 + i, d1, d2) for i, (d1, d2) in enumerate(coords)]
+    return [Point(T0 + i, d1, d2) for i, (d1, d2) in enumerate(coords)]
 
 
-def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
+def dominates(a: Point, b: Point) -> bool:
     """Minimization dominance: a is no worse in both and better in one."""
     return a.d1 <= b.d1 and a.d2 <= b.d2 and (a.d1 < b.d1 or a.d2 < b.d2)
 
@@ -63,42 +62,40 @@ class TestDominates:
 
     @given(point_st)
     def test_irreflexive(self, c):
-        p = ObjectivePoint(T0, *c)
+        p = Point(T0, *c)
         assert not dominates(p, p)
 
     @given(point_st, point_st)
     def test_asymmetric(self, c1, c2):
-        a, b = ObjectivePoint(T0, *c1), ObjectivePoint(T0 + 1, *c2)
+        a, b = Point(T0, *c1), Point(T0 + 1, *c2)
         assert not (dominates(a, b) and dominates(b, a))
 
     @given(point_st, point_st, point_st)
     def test_transitive(self, c1, c2, c3):
-        a = ObjectivePoint(T0, *c1)
-        b = ObjectivePoint(T0 + 1, *c2)
-        c = ObjectivePoint(T0 + 2, *c3)
+        a = Point(T0, *c1)
+        b = Point(T0 + 1, *c2)
+        c = Point(T0 + 2, *c3)
         if dominates(a, b) and dominates(b, c):
             assert dominates(a, c)
 
 
 class TestRankPoints:
     def test_mutually_nondominated(self):
-        ranked = rank_points(points((0, 1), (1, 0), (0.5, 0.5)))
-        assert [p.rank for p in ranked] == [0, 0, 0]
+        assert rank_points([0, 1, 0.5], [1, 0, 0.5]).tolist() == [0, 0, 0]
 
     def test_single_dominator(self):
-        ranked = rank_points(points((0, 1), (1, 0), (0.5, 0.5), (0.6, 0.6)))
-        assert [p.rank for p in ranked] == [0, 0, 0, 1]
+        assert rank_points([0, 1, 0.5, 0.6], [1, 0, 0.5, 0.6]).tolist() == [0, 0, 0, 1]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(123)
         for _ in range(10):
-            coords = [tuple(xy) for xy in rng.random((200, 2))]
-            ranked = rank_points([ObjectivePoint(T0 + i, *c) for i, c in enumerate(coords)])
-            assert [p.rank for p in ranked] == brute_force_ranks(coords)
+            coords = rng.random((200, 2))
+            ranks = rank_points(coords[:, 0], coords[:, 1]).tolist()
+            assert ranks == brute_force_ranks([tuple(xy) for xy in coords])
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            rank_points([])
+            rank_points([], [])
 
 
 class TestParetoFront:
@@ -121,8 +118,8 @@ class TestParetoFront:
 
     @given(st.lists(point_st, min_size=1, max_size=60))
     def test_front_properties(self, coords):
-        pts = [ObjectivePoint(T0 + i, *c) for i, c in enumerate(coords)]
-        ranked = rank_points(pts)
+        pts = [Point(T0 + i, *c) for i, c in enumerate(coords)]
+        ranked = with_ranks(pts)
         front = pareto_front(pts)
         front_keys = {p.t for p in front}
         for p in ranked:
@@ -134,22 +131,22 @@ class TestParetoFront:
 
     @given(st.lists(point_st, min_size=2, max_size=40))
     def test_adding_dominated_point_preserves_front(self, coords):
-        pts = [ObjectivePoint(T0 + i, *c) for i, c in enumerate(coords)]
+        pts = [Point(T0 + i, *c) for i, c in enumerate(coords)]
         front = pareto_front(pts)
         anchor = front[0]
-        worse = ObjectivePoint(T0 + len(pts), min(anchor.d1 + 0.1, 1.0001), min(anchor.d2 + 0.1, 1.0001))
+        worse = Point(T0 + len(pts), min(anchor.d1 + 0.1, 1.0001), min(anchor.d2 + 0.1, 1.0001))
         if not dominates(anchor, worse):
             return
         assert {p.t for p in pareto_front(pts + [worse])} == {p.t for p in front}
 
     @given(st.lists(point_st, min_size=1, max_size=40))
     def test_monotone_transform_preserves_membership(self, coords):
-        pts = [ObjectivePoint(T0 + i, *c) for i, c in enumerate(coords)]
+        pts = [Point(T0 + i, *c) for i, c in enumerate(coords)]
 
         def squash(x):  # strictly increasing on [0, 1]
             return x**3 + 0.5 * x
 
-        mapped = [ObjectivePoint(p.t, squash(p.d1), squash(p.d2)) for p in pts]
+        mapped = [Point(p.t, squash(p.d1), squash(p.d2)) for p in pts]
         assert {p.t for p in pareto_front(pts)} == {p.t for p in pareto_front(mapped)}
 
 

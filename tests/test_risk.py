@@ -30,6 +30,8 @@ from denguewatch.risk import (
     objective_space,
 )
 
+from reference import value_at
+
 START = MonthIndex(2015, 1)
 
 
@@ -335,7 +337,7 @@ def ragged_panel():
 
 def scalar_value(panel, region, variable, t):
     s = panel.get(region, variable)
-    return None if s is None else s.value_at(t)
+    return None if s is None else value_at(s, t)
 
 
 def scalar_mobility_risk(panel, region, t):
@@ -426,9 +428,20 @@ class TestRaggedPanel:
         r_ideal=0.9, l_ideal=0.8,
     )
 
-    @pytest.mark.parametrize("without_mobility", [False, True])
-    def test_columns_match_scalar_rederivation(self, without_mobility):
+    # Lags(0, 0, 0, 3) has the longest mobility lag: V, with no mobility row,
+    # keeps R_mob = 0.0 in the months the lag reaches before the span.
+    @pytest.mark.parametrize(
+        "without_mobility, lags",
+        [
+            pytest.param(False, Lags(1, 2, 0, 1), id="False"),
+            pytest.param(True, Lags(1, 2, 0, 1), id="True"),
+            pytest.param(False, Lags(0, 0, 0, 3), id="False-mobility-lag-3"),
+            pytest.param(True, Lags(0, 0, 0, 3), id="True-mobility-lag-3"),
+        ],
+    )
+    def test_columns_match_scalar_rederivation(self, without_mobility, lags):
         panel = ragged_panel()
+        params = replace(self.PARAMS, lags=lags)
         if without_mobility:
             panel = replace(panel, mobility=None)
         start, end = panel.span
@@ -440,22 +453,22 @@ class TestRaggedPanel:
             got = [None if math.isnan(v) else v for v in mobility_risk(panel, region).tolist()]
             assert got == expected, region
 
-            months, skipped = scalar_objective(panel, self.MFS, self.PARAMS, region)
+            months, skipped = scalar_objective(panel, self.MFS, params, region)
             if months:
-                rs = objective_space(panel, self.MFS, self.PARAMS, region)
+                rs = objective_space(panel, self.MFS, params, region)
                 assert (rs.months, rs.skipped) == (months, skipped), region
             else:
                 with pytest.raises(PipelineError):
-                    objective_space(panel, self.MFS, self.PARAMS, region)
+                    objective_space(panel, self.MFS, params, region)
 
-            rows, response, design_months = scalar_design(panel, self.PARAMS.lags, region)
+            rows, response, design_months = scalar_design(panel, params.lags, region)
             if len(rows) >= 8:
-                x, y, got_months = build_design(panel, self.PARAMS.lags, region)
+                x, y, got_months = build_design(panel, params.lags, region)
                 assert [tuple(row) for row in x.tolist()] == rows, region
                 assert y.tolist() == response and got_months == design_months, region
             else:
                 with pytest.raises(UnderdeterminedError):
-                    build_design(panel, self.PARAMS.lags, region)
+                    build_design(panel, params.lags, region)
 
     def test_edge_cases_reach_the_columns(self):
         """The panel exercises what it claims to: T loses exactly the months
