@@ -7,6 +7,7 @@ counts) by ordinary least squares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,18 @@ def fitted_values(coeffs: GlmCoefficients, design: np.ndarray) -> np.ndarray:
     return np.asarray(design, dtype=float) @ np.array(coeffs.values)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, by its default linear rule on
+    the sorted values, without the ``numpy.ma`` import that it costs."""
+    s = np.sort(values).tolist()
+    if math.isnan(s[-1]):  # NaN sorts last
+        return math.nan
+    pos = (len(s) - 1) * q
+    i = math.floor(pos) if pos < len(s) - 1 else -1  # -1: numpy's index of the last value
+    a, b, t = s[i], s[i + 1 if i >= 0 else -1], pos - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def predict_and_extract(
     coeffs: GlmCoefficients,
     design: np.ndarray,
@@ -110,7 +123,7 @@ def predict_and_extract(
     d = fitted_values(coeffs, design)
     if len(d) != len(months):
         raise ParameterError("design rows and months disagree")
-    threshold = float(np.quantile(d, threshold_quantile))
+    threshold = _quantile(d, threshold_quantile)
     predicted = []
     for i, t in enumerate(months):
         if d[i] <= threshold:

@@ -13,11 +13,10 @@ from pathlib import Path
 
 from . import pipeline
 from .config import dump_defaults, load_config
-from .errors import ConfigError, DengueWatchError
+from .errors import ConfigError, DengueWatchError, UsageError
 from .evaluation import load_calendar, write_calendar
 from .panel import MonthIndex, Variable, write_mobility, write_series
 from .risk import Lags
-from .synth import SynthConfig, generate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(cfg: dict, out: Path) -> None:
+    from .synth import SynthConfig, generate  # only this command needs it
+
     scfg = cfg["synth"]  # types checked by load_config
     config = SynthConfig(
         months=scfg["months"],
@@ -61,7 +62,7 @@ def _cmd_synth(cfg: dict, out: Path) -> None:
         noise_scale=float(scfg["noise_scale"]),
     )
     panel, calendar = generate(config)
-    out.mkdir(parents=True, exist_ok=True)
+    pipeline.make_out_dir(out)
     by_variable = {}
     for (region, variable), s in panel.series.items():
         by_variable.setdefault(variable, []).append(s)
@@ -83,7 +84,7 @@ def _cmd_synth(cfg: dict, out: Path) -> None:
 def _cmd_evaluate(cfg: dict, out: Path, predictions: str, actual: str) -> None:
     predicted = load_calendar(predictions).months
     payload = pipeline.evaluation_payload(cfg, load_calendar(actual), predicted, result=predicted)
-    out.mkdir(parents=True, exist_ok=True)
+    pipeline.make_out_dir(out)
     pipeline._write_json(payload, out / "evaluation.json")
     print(json.dumps(payload["result"], sort_keys=True))
 
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
             _cmd_evaluate(cfg, out, args.predictions, args.actual)
         else:
             print(pipeline.report(cfg, out, args.command))
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

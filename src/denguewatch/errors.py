@@ -43,3 +43,7 @@ class PipelineError(DengueWatchError):
 
 class ConfigError(DengueWatchError):
     """Invalid run or synthesis configuration."""
+
+
+class UsageError(DengueWatchError):
+    """A command-line argument that cannot be used."""

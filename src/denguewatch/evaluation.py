@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IngestionError, ParameterError
-from .panel import MonthIndex, csv_rows
+from .panel import MonthIndex, read_csv
 
 DEFAULT_MATCH_WINDOW = 1
 
@@ -96,13 +97,13 @@ def load_calendar(path) -> OutbreakCalendar:
     calendars and flagged-months artifacts are accepted.
     """
     path = Path(path)
-    rows = csv_rows(path)
-    header = [c.strip().lower() for c in next(rows)[1]]
+    rows = itertools.chain.from_iterable(read_csv(path))
+    header = [c.strip().lower() for c in next(rows)]
     if "date" not in header:
         raise IngestionError(f"{path}: no 'date' column in header")
     col = header.index("date")
     months = []
-    for lineno, row in rows:
+    for lineno, row in enumerate(rows, start=2):
         if len(row) <= col or not row[col].strip():
             continue
         try:

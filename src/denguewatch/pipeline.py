@@ -18,7 +18,7 @@ import numpy as np
 from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
-from .errors import ConfigError, CorrelationUndefinedError, PipelineError
+from .errors import ConfigError, CorrelationUndefinedError, PipelineError, UsageError
 from .evaluation import load_calendar, score
 from .fuzzy import (
     PiecewiseLinearMF,
@@ -327,6 +327,15 @@ SUBCOMMANDS = {
 }
 
 
+def make_out_dir(out: Path) -> None:
+    """Create the ``--out`` directory and its parents, or raise a one-line
+    :class:`UsageError` when a file is in the way."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out directory {out}: {exc.strerror}") from None
+
+
 def report(cfg: dict, out_dir, command: str = "report") -> str:
     """Run a pipeline subcommand: compute the stages its artifact files need,
     then write them under ``out_dir``. Returns its summary.
@@ -338,7 +347,7 @@ def report(cfg: dict, out_dir, command: str = "report") -> str:
     run = _Run(cfg)
     writers = {name: _ARTIFACTS[name](run) for name in names}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out)
     for name, write in writers.items():
         if write:
             write(out / name)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MissingDataError, ParameterError, PipelineError
 from .fuzzy import PiecewiseLinearMF
-from .panel import MobilityMatrix, MonthIndex, Panel, Variable
+from .panel import MobilityMatrix, MonthIndex, Panel, Variable, shift
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,11 @@ class TargetColumns:
         )
 
 
-def shift(column: np.ndarray, lag: int, fill: float = np.nan) -> np.ndarray:
-    """``column`` at month t - lag for every month t of its span; the first
-    ``lag`` months, whose source precedes the span, are ``fill``."""
-    out = np.full(column.size, fill)
-    out[lag:] = column[: max(column.size - lag, 0)]
-    return out
-
-
 def _column(panel: Panel, region: str, variable: Variable) -> np.ndarray:
     series = panel.get(region, variable)
     if series is None:
         return np.full(panel.span[1] - panel.span[0] + 1, np.nan)
-    return series.to_array()
+    return series.values
 
 
 def _feeders(mobility: MobilityMatrix, region: str) -> list:
@@ -149,9 +141,8 @@ def mobility_risk(panel: Panel, region: str) -> np.ndarray:
     total = np.zeros(end - start + 1)
     for j, w in _feeders(panel.mobility, region):
         pop = _column(panel, j, Variable.POPULATION)
-        pop[pop == 0.0] = np.nan
         # Not W @ density: 0 * NaN would poison months behind zero weights.
-        total += w * (_column(panel, j, Variable.INCIDENCE) / pop)
+        total += w * (_column(panel, j, Variable.INCIDENCE) / np.where(pop == 0.0, np.nan, pop))
     return total
 
 

@@ -206,7 +206,7 @@ def generate(config: SynthConfig):
     start = config.start
 
     def series(region, variable, values):
-        return MonthlySeries(region, variable, start, tuple(values))
+        return MonthlySeries(region, variable, start, values)
 
     panel = Panel(
         series={

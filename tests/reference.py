@@ -55,11 +55,22 @@ def load_series(path, variable: Variable, region: Optional[str] = None) -> Month
     return next(iter(table.values()))
 
 
+def values_of(series: MonthlySeries) -> tuple:
+    """The series' values as Python floats, with None for a missing month."""
+    return tuple(None if math.isnan(v) else v for v in series.values.tolist())
+
+
+def as_tuple(series: MonthlySeries) -> tuple:
+    """``(region, variable, start, values)``, the values as in :func:`values_of`,
+    for exact comparison."""
+    return series.region, series.variable, series.start, values_of(series)
+
+
 def value_at(series: MonthlySeries, t: MonthIndex):
     """The series' value for month t, or None outside its span or at a gap."""
     i = t - series.start
-    if 0 <= i < len(series.values):
-        return series.values[i]
+    if 0 <= i < len(series.values) and not math.isnan(series.values[i]):
+        return float(series.values[i])
     return None
 
 

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from denguewatch.baseline import (
     COLUMN_NAMES,
+    _quantile,
     GlmCoefficients,
     build_design,
     fit_ols,
@@ -166,6 +169,30 @@ class TestFitOls:
     def test_wrong_width_rejected(self):
         with pytest.raises(ParameterError):
             fit_ols(np.ones((10, 3)), np.ones(10))
+
+
+class TestQuantile:
+    """The spike threshold is ``np.quantile``'s value, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_numpy_quantile(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            n = rng.randint(1, 200)
+            scale = 10.0 ** rng.choice([-5, 0, 5])
+            pool = [rng.gauss(0.0, scale) for _ in range(rng.randint(1, n))]  # ties
+            values = np.array([rng.choice(pool) for _ in range(n)])
+            q = rng.choice([rng.random(), 0.85, 0.5, 1 / 3]) or 0.5
+            assert _quantile(values, q) == float(np.quantile(values, q)), (n, q)
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, np.nan, 2.0], [np.inf, 1.0, -np.inf], [np.inf], [3.0, np.inf], [7.0]]
+    )
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.85, 1 - 2**-53])
+    def test_non_finite_values(self, values, q):
+        with np.errstate(invalid="ignore"):
+            expected = float(np.quantile(np.array(values), q))
+        assert np.array_equal(_quantile(np.array(values), q), expected, equal_nan=True)
 
 
 class TestPredictAndExtract:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -452,3 +456,63 @@ class TestMonthOutOfRange:
         code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
         assert code == 1
         assert err == f"error: {path}: line 3: month must be in 1..12, got 0\n"
+
+
+class TestOutPathIsAFile:
+    """An ``--out`` that is, or lies under, an existing file is a one-line
+    usage error, and a pipeline subcommand creates nothing."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["calibrate", "report"])
+    def test_pipeline(self, workspace, capsys, command, under):
+        tmp_path, _, cfg_path = workspace
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under else blocker
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+        reason = "Not a directory" if under else "File exists"
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot create --out directory {out}: {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "keep\n"
+
+    def test_synth(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        code, _, err = run(capsys, "synth", "--out", str(blocker / "data"))
+        assert code == 2
+        assert err == f"error: cannot create --out directory {blocker / 'data'}: Not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == [blocker]
+
+    def test_evaluate(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        code, _, err = run(
+            capsys, "evaluate", "--out", str(blocker),
+            "--predictions", str(data / "outbreaks.csv"), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert code == 2
+        assert err == f"error: cannot create --out directory {blocker}: File exists\n"
+        assert blocker.read_text() == "keep\n"
+
+
+def test_report_imports_neither_synth_nor_numpy_ma(workspace):
+    """``report`` needs neither the generator nor ``numpy.ma`` (which
+    ``np.quantile`` and ``np.unique`` import): each costs every CLI process
+    start-up time."""
+    tmp_path, _, cfg_path = workspace
+    script = (
+        "import sys\n"
+        "from denguewatch.cli import main\n"
+        f"code = main(['--config', {str(cfg_path)!r}, 'report', '--out', {str(tmp_path / 'r')!r}])\n"
+        "print(code, sorted(m for m in ('denguewatch.synth', 'numpy.ma') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"

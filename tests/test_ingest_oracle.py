@@ -7,14 +7,20 @@ same message. The corpus mixes valid rows with every kind of bad row, so the
 first bad line in file order decides the message.
 """
 
+import functools
+import os
 import random
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from denguewatch.panel import Variable, load_mobility, load_series_table
+from denguewatch.errors import IngestionError
+from denguewatch.evaluation import load_calendar
+from denguewatch.panel import MobilityMatrix, Variable, load_mobility, load_series_table
 
-from reference import reference_load_mobility, reference_load_series_table
+from reference import as_tuple, reference_load_mobility, reference_load_series_table
 
 REGIONS = ["WP", "NB", " WP ", "wp", "", "Té"]
 DATES = [
@@ -40,9 +46,10 @@ def outcome(load, *args):
     except Exception as exc:  # the oracle compares whatever is raised
         return ("raised", type(exc), str(exc))
     if isinstance(result, dict):
-        return ("ok", {r: (s.region, s.variable, s.start, s.values) for r, s in result.items()},
-                list(result))
-    return ("ok", result.regions, result.weights)
+        return ("ok", {r: as_tuple(s) for r, s in result.items()}, list(result))
+    if isinstance(result, MobilityMatrix):
+        return ("ok", result.regions, result.weights.tolist())
+    return ("ok", result)
 
 
 def assert_same_series(path):
@@ -106,9 +113,13 @@ def mobility_rows(rng):
     return with_errors(rng, rows, bad_mobility_row)
 
 
-def write(path, header, rows):
-    text = "\n".join(([header] if header is not None else []) + rows)
-    path.write_text(text + ("\n" if text else ""), encoding="utf-8")
+def csv_text(header, rows, newline="\n"):
+    text = newline.join(([header] if header is not None else []) + rows)
+    return text + (newline if text else "")
+
+
+def write(path, header, rows, newline="\n"):
+    path.write_bytes(csv_text(header, rows, newline).encode("utf-8"))
     # Path() drops the "." that the loaders' messages otherwise keep.
     return f"{path.parent}/./{path.name}"
 
@@ -141,6 +152,18 @@ class TestSeededCorpus:
             ("region,date,value", ["WP,2010-01,-1", "NB,2010-01,-2"]),  # negative counts
             ("region,date,value", ["WP, 2010-13 ,1"]),  # month out of range
             ("region,date,value", ["WP,2010-01,1,", "WP,2010-02"]),  # long row, short row
+            ("region,date,value", ["WP,2010-01,1.5"]),  # one row
+            ("region,date,value", ["WP,2010-01,"]),  # one row, a gap
+            ("region,date,value", ["WP,2010-02,abc"]),  # one row, bad
+            # a duplicate in the last row
+            ("region,date,value", ["WP,2010-01,1", "NB,2010-01,2", "WP,2010-02,3", "WP,2010-01,4"]),
+            # blank and whitespace-only rows between data rows, then a bad row
+            ("region,date,value", ["WP,2010-01,1", "", " , , ", "  ", ",", "\t", "WP,2010-02,x"]),
+            ("region,date,value", ["", "WP,2010-01,1", " ", "WP,2010-01,2"]),
+            # quoted fields holding commas and newlines: lines count rows
+            ("region,date,value", ['"W,P",2010-01,1', '"N\nB",2010-01,2', '"W,P",2010-02,"1\n2"']),
+            ("region,date,value", ['"W\nP",2010-01,"1,5"']),
+            ("region,date,value", ['" W,P ",2010-01,1', '"W,P",2010-01,2']),  # padded duplicate
         ],
     )
     def test_series_cases(self, tmp_path, header, rows):
@@ -156,15 +179,143 @@ class TestSeededCorpus:
             ("from,to,weight", ["A,B,1", "A,B,2", "A,C,-1"]),  # dup before bad weight
             ("from,to,weight", ["A,B,nan", "A,B,1"]),
             ("from,to,weight", [" A , B , 1 ", "A,B,1"]),  # padded duplicate
+            ("from,to,weight", ["A,B,1"]),  # one row
+            ("from,to,weight", ["A,B,"]),  # one row, bad
+            ("from,to,weight", ["A,B,1", "B,A,2", "C,A,3", "B,A,4"]),  # last row repeats
+            ("from,to,weight", ["A,B,1", "", " , , ", "  ", "B,A,-2"]),  # blanks, then bad
+            ("from,to,weight", ['"A,1",B,1', '"B\n2",A,2', 'A,B,"x\ny"']),  # quoted
         ],
     )
     def test_mobility_cases(self, tmp_path, header, rows):
         assert_same_mobility(write(tmp_path / "m.csv", header, rows))
 
+    @pytest.mark.parametrize("bad_at", [None, 4095, 4096, 9000])
+    @pytest.mark.parametrize(
+        "bad_row, bad_pair",
+        [("WP", "R1,S1"), ("R1,1000-01,1", "R1,S1,1"), ("WP,2030-01,x", "R1,S2,x")],
+        ids=["short", "repeat", "non-numeric"],
+    )
+    def test_long_files(self, tmp_path, bad_at, bad_row, bad_pair):
+        """Files of several read blocks: line numbers run on across them."""
+        rows = [f"R{k % 7},{1000 + k // 84:04d}-{k // 7 % 12 + 1:02d},{k}" for k in range(10_000)]
+        rows[3000] = rows[6000] = " , , "
+        pairs = [f"R{k // 100},S{k % 100},{k}" for k in range(10_000)]
+        if bad_at is not None:
+            rows.insert(bad_at, bad_row)
+            pairs.insert(bad_at, bad_pair)
+        assert_same_series(write(tmp_path / "s.csv", "region,date,value", rows))
+        assert_same_mobility(write(tmp_path / "m.csv", "from,to,weight", pairs))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_crlf_line_ends(self, tmp_path, seed):
+        rng = random.Random(seed)
+        assert_same_series(write(tmp_path / "s.csv", SERIES_HEADERS[0], series_rows(rng), "\r\n"))
+        assert_same_mobility(write(tmp_path / "m.csv", MOBILITY_HEADERS[0], mobility_rows(rng), "\r\n"))
+
+    def test_crlf_matches_lf(self, tmp_path):
+        rows = ["WP,2010-02,2", "", "WP,2010-01,1", "NB,2010-01,3"]
+        lf = outcome(load_series_table, write(tmp_path / "lf.csv", "region,date,value", rows), Variable.RAINFALL)
+        crlf = outcome(
+            load_series_table, write(tmp_path / "crlf.csv", "region,date,value", rows, "\r\n"),
+            Variable.RAINFALL,
+        )
+        assert lf == crlf and lf[0] == "ok"
+
     def test_missing_file(self, tmp_path):
         path = f"{tmp_path}/./absent.csv"
         assert_same_series(path)
         assert_same_mobility(path)
+
+
+def through_pipe(path, text, load):
+    """What ``load(path)`` does when ``text`` arrives through a named pipe at
+    ``path``, which can be read only once."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=Path(path).write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    try:
+        return outcome(load, path)
+    finally:  # a reader end, so that the writer never waits for one
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=30)
+        os.close(fd)
+        assert not writer.is_alive()
+
+
+SERIES = functools.partial(load_series_table, variable=Variable.INCIDENCE)
+REFERENCE_SERIES = functools.partial(reference_load_series_table, variable=Variable.INCIDENCE)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestNamedPipe:
+    """A pipe gives the same result or line-numbered error as a file."""
+
+    @pytest.mark.parametrize(
+        "load, reference, header, rows",
+        [
+            (SERIES, REFERENCE_SERIES, "region,date,value",
+             ["WP,2010-01,1", "", "NB,2010-01,2", "WP,2010-02,abc", "WP,2010-13,1"]),
+            (SERIES, REFERENCE_SERIES, "region,date,value", ["WP,2010-01,1", "WP,2010-01,2"]),
+            (SERIES, REFERENCE_SERIES, "region,date,value", ["WP,2010-01,-1", "WP,2010-02,1"]),
+            (SERIES, REFERENCE_SERIES, "region,date,value", ["WP,2010-02,1", "WP,2010-01,"]),
+            (load_mobility, reference_load_mobility, "from,to,weight", ["A,B,1", " ", "B,A,x", "A,B,1"]),
+            (load_mobility, reference_load_mobility, "from,to,weight", ["A,B,1", "B,A,2"]),
+            (load_calendar, None, "date", ["2012-11", "", "2012-13", "bad"]),
+            (load_calendar, None, "date,flag", ["2012-11,1", "2013-02,0"]),
+        ],
+    )
+    def test_same_as_a_file(self, tmp_path, load, reference, header, rows):
+        path = write(tmp_path / "in.csv", header, rows)
+        expected = outcome(load, path)
+        if reference is not None:
+            assert expected == outcome(reference, path)
+        os.unlink(path)
+        assert through_pipe(path, csv_text(header, rows), load) == expected
+
+
+GOOD_ROWS = "".join(f"WP,{2000 + k // 12:04d}-{k % 12 + 1:02d},1\n" for k in range(24, 1200)).encode()
+GOOD_PAIRS = "".join(f"R{k},S{k},1\n" for k in range(1500)).encode()
+BIG_FIELD = b'WP,2100-01,"' + b"9" * 200_000 + b'"\n'
+
+
+class TestReadFaults:
+    """A fault that stops the read (bytes that are not UTF-8, an oversized
+    field) counts as a bad row at that place: a bad row before it, tens of
+    kilobytes earlier, is the one reported."""
+
+    @pytest.mark.parametrize(
+        "load, data, message",
+        [
+            (SERIES, b"region,date,value\nWP,2000-01,1\nWP,2000-02,abc\n" + GOOD_ROWS + b"WP,\xff,1\n",
+             "line 3: non-numeric value 'abc'"),
+            (SERIES, b"region,date,value\nWP,2000-01,1\nWP,2000-01,2\n" + GOOD_ROWS + b"WP,\xff,1\n",
+             "line 3: duplicate row for (WP, 2000-01)"),
+            (SERIES, b"region,date,value\nWP,2000-01,1\nWP\n" + GOOD_ROWS + b"WP,\xff,1\n",
+             "line 3: expected 3 fields"),
+            (SERIES, b"region,date,value\nWP,2000-01,1\n" + GOOD_ROWS + b"WP,\xff,1\nWP,2000-02,abc\n",
+             "not UTF-8 text (invalid start byte)"),
+            (SERIES, b"region,date,value\nWP,2000-01,-1\n" + GOOD_ROWS + b"WP,\xff,1\n",
+             "not UTF-8 text (invalid start byte)"),  # whole-file checks come last
+            (SERIES, b"region,date,value\nWP,2000-01,1\nWP,2000-02,abc\n" + GOOD_ROWS + BIG_FIELD,
+             "line 3: non-numeric value 'abc'"),
+            (SERIES, b"region,date,value\nWP,2000-01,1\n" + BIG_FIELD + b"WP,2000-02,abc\n",
+             "line 3: field larger than field limit (131072)"),
+            (load_mobility, b"from,to,weight\nA,B,1\nA,B,x\n" + GOOD_PAIRS + b"A,\xff,1\n",
+             "line 3: non-numeric weight 'x'"),
+            (load_mobility, b"from,to,weight\nA,B,1\nA,B,2\n" + GOOD_PAIRS + b"A,\xff,1\n",
+             "line 3: duplicate pair (A, B)"),
+            (load_mobility, b"from,to,weight\nA,B,1\n" + GOOD_PAIRS + b"A,\xff,1\nA,B,x\n",
+             "not UTF-8 text (invalid start byte)"),
+            (load_mobility, b"from,to,weight\n" + b"\xff" * 10_000 + b"\n",
+             "not UTF-8 text (invalid start byte)"),
+            (load_calendar, b"date\n2012-01\n2012-13\n" + b"2012-01\n" * 2000 + b"\xff\n",
+             "line 3: month must be in 1..12, got 13"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, load, data, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert outcome(load, path) == ("raised", IngestionError, f"{path}: {message}")
 
 
 def fuzz_rows(regions, dates, values):

@@ -19,7 +19,7 @@ from denguewatch.panel import (
     write_series,
 )
 
-from reference import load_series
+from reference import load_series, values_of
 
 
 def mk(values, start=MonthIndex(2010, 1), variable=Variable.RAINFALL, region="WP"):
@@ -57,10 +57,26 @@ class TestSeriesChecks:
 
     def test_gaps_and_finite_values_accepted(self):
         s = mk([1.0, None, -2.0, None])
-        assert s.values == (1.0, None, -2.0, None)
+        assert values_of(s) == (1.0, None, -2.0, None)
         np.testing.assert_array_equal(s.to_array(), [1.0, np.nan, -2.0, np.nan])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_values_are_read_only_and_to_array_copies(self):
+        source = np.array([1.0, 2.0])
+        s = mk(source)
+        source[0] = 5.0  # the series holds its own copy
+        assert values_of(s) == (1.0, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 3.0
+        copy = s.to_array()
+        copy[0] = 3.0
+        assert values_of(s) == (1.0, 2.0)
+
+    def test_nan_marks_a_missing_month(self):
+        assert mk([1.0, float("nan")]) == mk([1.0, None])
+        assert mk([1.0, None]) != mk([1.0, 0.0])
+        assert mk([1.0, None]) != mk([1.0, None], region="NB")
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ParameterError, match=r"^non-finite value at 2010-03 in WP/rainfall_mm$"):
             mk([1.0, None, bad, 2.0])
@@ -71,14 +87,21 @@ class TestSeriesChecks:
 
     def test_first_bad_month_named(self):
         with pytest.raises(ParameterError, match="non-finite value at 2010-02"):
-            mk([None, float("nan"), -1.0], variable=Variable.INCIDENCE)
+            mk([None, float("inf"), -1.0], variable=Variable.INCIDENCE)
 
     def test_non_number_raises_type_error(self):
         with pytest.raises(TypeError):
+            mk([1.0, object()])
+
+    def test_non_numeric_text_raises_value_error(self):
+        with pytest.raises(ValueError, match="could not convert string to float"):
             mk([1.0, "x"])
 
     def test_mobility_weights_checked(self):
-        assert MobilityMatrix(("A", "B"), ((0.0, 1.5), (0.0, 0.0))).weights == ((0.0, 1.5), (0.0, 0.0))
+        m = MobilityMatrix(("A", "B"), ((0.0, 1.5), (0.0, 0.0)))
+        assert m.weights.tolist() == [[0.0, 1.5], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights[0, 0] = 1.0
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ParameterError, match="finite and >= 0"):
                 MobilityMatrix(("A", "B"), ((0.0, bad), (0.0, 0.0)))
@@ -92,7 +115,7 @@ class TestLoadSeries:
         p.write_text("region,date,value\nWP,2010-01,120.5\nWP,2010-02,88.0\n")
         s = load_series(p, Variable.RAINFALL)
         assert s.start == MonthIndex(2010, 1)
-        assert s.values == (120.5, 88.0)
+        assert values_of(s) == (120.5, 88.0)
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "rain.csv"
@@ -118,23 +141,23 @@ class TestLoadSeries:
             fd = os.open(p, os.O_RDONLY | os.O_NONBLOCK)
             writer.join()
             os.close(fd)
-        assert (s.start, s.values) == (MonthIndex(2010, 1), (1.5,))
+        assert (s.start, values_of(s)) == (MonthIndex(2010, 1), (1.5,))
 
     def test_gap_becomes_missing_marker(self, tmp_path):
         p = tmp_path / "rain.csv"
         p.write_text("region,date,value\nWP,2010-01,1.0\nWP,2010-03,3.0\n")
         s = load_series(p, Variable.RAINFALL)
-        assert s.values == (1.0, None, 3.0)
+        assert values_of(s) == (1.0, None, 3.0)
 
     def test_unsorted_rows_accepted(self, tmp_path):
         p = tmp_path / "rain.csv"
         p.write_text("region,date,value\nWP,2010-02,2.0\nWP,2010-01,1.0\n")
-        assert load_series(p, Variable.RAINFALL).values == (1.0, 2.0)
+        assert values_of(load_series(p, Variable.RAINFALL)) == (1.0, 2.0)
 
     def test_explicit_missing_value(self, tmp_path):
         p = tmp_path / "rain.csv"
         p.write_text("region,date,value\nWP,2010-01,1.0\nWP,2010-02,\n")
-        assert load_series(p, Variable.RAINFALL).values == (1.0, None)
+        assert values_of(load_series(p, Variable.RAINFALL)) == (1.0, None)
 
     def test_malformed_date_names_line(self, tmp_path):
         p = tmp_path / "rain.csv"
@@ -161,7 +184,16 @@ class TestLoadSeries:
         assert set(table) == {"WP", "NB"}
         with pytest.raises(IngestionError, match="2 regions"):
             load_series(p, Variable.INCIDENCE)
-        assert load_series(p, Variable.INCIDENCE, region="NB").values == (2.0,)
+        assert values_of(load_series(p, Variable.INCIDENCE, region="NB")) == (2.0,)
+
+    def test_series_are_read_only_views_of_one_array(self, tmp_path):
+        p = tmp_path / "inc.csv"
+        p.write_text("region,date,value\nWP,2010-02,5\nNB,2010-01,2\nWP,2010-01,4\nNB,2010-03,1\n")
+        table = load_series_table(p, Variable.INCIDENCE)
+        wp, nb = table["WP"], table["NB"]
+        assert values_of(wp) == (4.0, 5.0) and values_of(nb) == (2.0, None, 1.0)
+        assert wp.values.base is nb.values.base is not None
+        assert not wp.values.flags.writeable
 
     def test_negative_count_rejected(self, tmp_path):
         p = tmp_path / "inc.csv"
@@ -189,12 +221,12 @@ class TestMobility:
         p.write_text("from,to,weight\nWP,NB,1.5\n")
         m = load_mobility(p)
         assert m.regions == ("NB", "WP")
-        assert m.weights == ((0.0, 0.0), (1.5, 0.0))
+        assert m.weights.tolist() == [[0.0, 0.0], [1.5, 0.0]]
 
     def test_from_pairs(self):
         m = MobilityMatrix.from_pairs({("WP", "NB"): 1.5, ("NB", "WP"): 2, ("C", "C"): 0.5})
         assert m.regions == ("C", "NB", "WP")
-        assert m.weights == ((0.5, 0.0, 0.0), (0.0, 0.0, 2.0), (0.0, 1.5, 0.0))
+        assert m.weights.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 1.5, 0.0]]
         assert MobilityMatrix.from_pairs({}) == MobilityMatrix((), ())
 
     def test_negative_weight_rejected(self, tmp_path):
@@ -251,17 +283,17 @@ class TestAlign:
 
 class TestLagShift:
     def test_basic(self):
-        assert lag_shift(mk([1, 2, 3]), 1).values == (None, 1, 2)
+        assert values_of(lag_shift(mk([1, 2, 3]), 1)) == (None, 1.0, 2.0)
 
     def test_zero_is_identity(self):
         s = mk([1, 2, 3])
         assert lag_shift(s, 0) is s
 
     def test_two_months(self):
-        assert lag_shift(mk([5, 7, 9, 11]), 2).values == (None, None, 5, 7)
+        assert values_of(lag_shift(mk([5, 7, 9, 11]), 2)) == (None, None, 5.0, 7.0)
 
     def test_lag_beyond_length_is_all_missing(self):
-        assert lag_shift(mk([1, 2]), 5).values == (None, None)
+        assert values_of(lag_shift(mk([1, 2]), 5)) == (None, None)
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ParameterError):
@@ -274,4 +306,4 @@ class TestLagShift:
     )
     def test_composition_matches_single_shift(self, values, a, b):
         s = mk(values)
-        assert lag_shift(lag_shift(s, a), b).values == lag_shift(s, a + b).values
+        assert values_of(lag_shift(lag_shift(s, a), b)) == values_of(lag_shift(s, a + b))

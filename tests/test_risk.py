@@ -30,7 +30,7 @@ from denguewatch.risk import (
     objective_space,
 )
 
-from reference import value_at
+from reference import value_at, values_of
 
 START = MonthIndex(2015, 1)
 
@@ -376,7 +376,7 @@ def clamp01(x):
 
 
 def scalar_objective(panel, mfs, params, region):
-    i_peak = max(v for v in panel.get(region, Variable.INCIDENCE).values if v is not None)
+    i_peak = max(v for v in values_of(panel.get(region, Variable.INCIDENCE)) if v is not None)
     start, end = panel.span
     months, skipped = [], []
     for k in range(end - start + 1):
