@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularDesignError, UnderdeterminedError
-from .panel import Panel, Variable
+from .panel import MonthIndex, Panel, Variable
 from .risk import Lags, target_columns
 
 COLUMN_NAMES = (
@@ -52,7 +52,7 @@ def build_design(panel: Panel, lags: Lags, region: str):
     complete rows.
     """
     cols = target_columns(panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE)
-    start, _ = panel.span
+    first = panel.span[0].ordinal
     regressors = cols.inputs(lags)[:6]  # all but N
     design = np.column_stack((np.ones(len(cols.rain)), *regressors))
     response = cols.infected
@@ -62,7 +62,7 @@ def build_design(panel: Panel, lags: Lags, region: str):
         raise UnderdeterminedError(
             f"only {rows} complete rows; need at least {_MIN_ROWS}"
         )
-    months = [start + int(k) for k in np.flatnonzero(keep)]
+    months = [MonthIndex.from_ordinal(first + k) for k in np.flatnonzero(keep).tolist()]
     return design[keep], response[keep], months
 
 
@@ -124,12 +124,13 @@ def predict_and_extract(
     if len(d) != len(months):
         raise ParameterError("design rows and months disagree")
     threshold = _quantile(d, threshold_quantile)
+    d = d.tolist()
     predicted = []
     for i, t in enumerate(months):
         if d[i] <= threshold:
             continue
-        left = d[i - 1] if i > 0 else -np.inf
-        right = d[i + 1] if i < len(d) - 1 else -np.inf
+        left = d[i - 1] if i > 0 else -math.inf
+        right = d[i + 1] if i < len(d) - 1 else -math.inf
         if d[i] >= left and d[i] >= right and (d[i] > left or d[i] > right):
             predicted.append(t)
     return predicted

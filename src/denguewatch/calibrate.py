@@ -66,42 +66,45 @@ def _pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
     where it would raise, the entry is the error it would raise.
 
     Rows that keep the same months (both sides present) share one pass over
-    a C-contiguous ``[rows, n]`` array. Each row is reduced with the same
-    elementwise steps as a lone vector, so every r is bit-identical to one
-    computed alone.
+    a C-contiguous ``[rows + 1, n]`` array whose last row is ``y``, so one
+    set of row reductions gives every row's sums and y's as well. Each row
+    is reduced with the same elementwise steps as a lone vector, so every r
+    is bit-identical to one computed alone.
     """
     keep = ~(np.isnan(xs) | np.isnan(y))
-    groups = {}
-    for i, row in enumerate(keep):
-        groups.setdefault(row.tobytes(), []).append(i)
+    if keep.all():  # every row keeps every month: one group, nothing to select
+        groups = [(range(len(xs)), xs, y)] if len(xs) else []
+    else:
+        by_mask = {}
+        for i, row in enumerate(keep):
+            by_mask.setdefault(row.tobytes(), []).append(i)
+        groups = [
+            (rows, xs[rows][:, keep[rows[0]]], y[keep[rows[0]]]) for rows in by_mask.values()
+        ]
     out = [None] * len(xs)
-    for rows in groups.values():
-        mask = keep[rows[0]]
-        n = int(np.count_nonzero(mask))
+    for rows, x, ya in groups:
+        n = ya.size
         if n < 3:
             for i in rows:
                 out[i] = CorrelationUndefinedError(
                     f"need >= 3 paired observations, got {n}"
                 )
             continue
-        # Boolean column indexing gives an F-ordered array, whose row sums
-        # round differently from a lone vector's.
-        x = np.ascontiguousarray(xs[rows][:, mask])
-        ya = y[mask]
-        xc = _unit_scaled(x - (x.sum(axis=1) / n)[:, None])
-        yc = _unit_scaled(ya - ya.sum() / n)
+        # Filled in place: boolean column indexing alone gives an F-ordered
+        # array, whose row sums round differently from a lone vector's.
+        z = np.empty((len(rows) + 1, n))
+        z[:-1], z[-1] = x, ya
+        c = _unit_scaled(z - z.sum(axis=1, keepdims=True) / n)
+        e = c.sum(axis=1).tolist()
+        ee = (c * c).sum(axis=1).tolist()
+        exys = (c * c[-1]).sum(axis=1).tolist()
         # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
         # terms take out the rounding error of each mean, which dominates when
         # the spread is a few ulps of the mean; elsewhere they are below half
         # an ulp of the sum and change nothing.
-        ey = float(yc.sum())
-        sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
-        sums = zip(
-            xc.sum(axis=1).tolist(),
-            (xc * xc).sum(axis=1).tolist(),
-            (xc * yc).sum(axis=1).tolist(),
-        )
-        for i, (ex, exx, exy) in zip(rows, sums):
+        ey = e[-1]
+        sy = math.sqrt(max(ee[-1] - ey * ey / n, 0.0))
+        for i, ex, exx, exy in zip(rows, e, ee, exys):  # stops before y's row
             sx = math.sqrt(max(exx - ex * ex / n, 0.0))
             if sx == 0.0 or sy == 0.0:
                 out[i] = CorrelationUndefinedError(
@@ -264,9 +267,10 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
 
     best: CutoffResult | None = None
     exact = {}
-    for p in np.flatnonzero(score >= floor):
-        a, b = grid[lows[p]], grid[highs[p]]
-        band = (band_lo[p], band_hi[p])
+    p = np.flatnonzero(score >= floor)
+    bands = zip(band_lo[p].tolist(), band_hi[p].tolist())
+    for i, j, band in zip(lows[p].tolist(), highs[p].tolist(), bands):
+        a, b = grid[i], grid[j]
         if band not in exact:
             exact[band] = pearson(band_indicator(x, a, b), y)
         r = exact[band]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import math
 from pathlib import Path
 
@@ -67,7 +66,17 @@ DEFAULT_CONFIG = {
 
 
 def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
+    return _copy(DEFAULT_CONFIG)
+
+
+def _copy(value):
+    """A fresh copy of a tree of dicts, lists and scalars such as the
+    defaults, without the bookkeeping of ``copy.deepcopy``."""
+    if isinstance(value, dict):
+        return {k: _copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:

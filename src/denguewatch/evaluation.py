@@ -94,7 +94,8 @@ def load_calendar(path) -> OutbreakCalendar:
     """Read outbreak months from any CSV carrying a ``date`` column.
 
     Extra columns (ranks, flags, ...) are ignored, so both dedicated
-    calendars and flagged-months artifacts are accepted.
+    calendars and flagged-months artifacts are accepted. Blank rows and
+    empty dates are skipped; a row too short to hold a date is an error.
     """
     path = Path(path)
     rows = itertools.chain.from_iterable(read_csv(path))
@@ -104,6 +105,8 @@ def load_calendar(path) -> OutbreakCalendar:
     col = header.index("date")
     months = []
     for lineno, row in enumerate(rows, start=2):
+        if len(row) <= col and any(map(str.strip, row)):
+            raise IngestionError(f"{path}: line {lineno}: expected at least {col + 1} fields")
         if len(row) <= col or not row[col].strip():
             continue
         try:

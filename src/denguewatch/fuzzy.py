@@ -43,12 +43,12 @@ class PiecewiseLinearMF:
         for x, y in pts:
             if not (math.isfinite(x) and 0.0 <= y <= 1.0):
                 raise ParameterError(f"breakpoint ({x}, {y}) outside finite x, y in [0,1]")
+        object.__setattr__(self, "_xs", np.array([x for x, _ in pts]))
+        object.__setattr__(self, "_ys", np.array([y for _, y in pts]))
 
     def evaluate(self, x):
         """Membership degree for x (scalar or array-like)."""
-        xs = np.array([p[0] for p in self.breakpoints])
-        ys = np.array([p[1] for p in self.breakpoints])
-        out = np.interp(x, xs, ys)
+        out = np.interp(x, self._xs, self._ys)
         if np.ndim(x) == 0:
             return float(out)
         return out

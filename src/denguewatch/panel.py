@@ -141,7 +141,10 @@ class MonthlySeries:
             )
         if i == 0 and j == len(self.values) - 1:
             return self
-        return replace(self, start=start, values=self.values[i : j + 1])
+        # Built without __post_init__: the values were checked when self was.
+        view = object.__new__(MonthlySeries)
+        view.__dict__.update(vars(self), start=start, values=self.values[i : j + 1])
+        return view
 
 
 @dataclass(frozen=True, eq=False)

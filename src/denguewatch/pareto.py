@@ -7,7 +7,7 @@ Both objectives are minimized; rank is the number of dominating points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .risk import RiskSeries
 DEFAULT_RANK_THRESHOLD = 2
 
 
-@dataclass(frozen=True)
-class FlaggedMonth:
+class FlaggedMonth(NamedTuple):
     t: MonthIndex
     d1: float
     d2: float

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class MembershipFunctions:
     mobility: PiecewiseLinearMF
 
 
-@dataclass(frozen=True)
-class RiskMonth:
+class RiskMonth(NamedTuple):
     t: MonthIndex
     R: float
     L: float
@@ -185,6 +185,11 @@ def objective_space(
     Months whose lagged inputs are missing are omitted and listed in
     ``skipped``. The region's I, S and N series must exist. Raises
     :class:`PipelineError` if nothing is admissible.
+
+    R is built by column: each factor's degrees are raised to its exponent
+    with Python's float ``**`` (libm pow; numpy's array ``**`` can differ in
+    the last bit), and the four columns multiply in factor order from 1.0,
+    the order of a per-month ``math.prod``.
     """
     cols = target_columns(
         panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION
@@ -192,34 +197,27 @@ def objective_space(
     start, end = panel.span
     i_peak = incidence_peak(cols.infected, region)
     inputs = cols.inputs(params.lags)
-    rain, temp, humid, r_mob, infected, susceptible, population = inputs
+    infected, susceptible, population = inputs[4:]
     zero_pop = np.flatnonzero(~np.isnan(infected) & ~np.isnan(susceptible) & (population == 0.0))
     if zero_pop.size:
         raise ParameterError(
             f"region {region} has zero population at {start + (int(zero_pop[0]) - 1)}"
         )
     ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
-    degrees = zip(
-        mfs.rain.evaluate(rain[ok]),
-        mfs.temp.evaluate(temp[ok]),
-        mfs.humid.evaluate(humid[ok]),
-        mfs.mobility.evaluate(r_mob[ok]),
-    )
-    # Python float ** (libm pow): numpy's array ** can differ in the last bit.
-    r = np.clip(
-        [math.prod(float(m) ** c for m, c in zip(row, params.exponents)) for row in degrees],
-        0.0,
-        1.0,
-    )
+    r = 1.0
+    for mf, column, c in zip(
+        (mfs.rain, mfs.temp, mfs.humid, mfs.mobility), inputs, params.exponents
+    ):
+        r = r * np.array([m**c for m in mf.evaluate(column[ok]).tolist()])
+    r = np.clip(r, 0.0, 1.0)
     l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
         infected[ok] / i_peak, 0.0, 1.0
     )
     d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
     d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
-    months = tuple(
-        RiskMonth(start + int(k), *row)
-        for k, row in zip(np.flatnonzero(ok), np.column_stack((r, l, d1, d2)).tolist())
-    )
+    first = start.ordinal
+    t = [MonthIndex.from_ordinal(first + k) for k in np.flatnonzero(ok).tolist()]
+    months = tuple(map(RiskMonth, t, r.tolist(), l.tolist(), d1.tolist(), d2.tolist()))
     if not months:
         raise PipelineError(
             f"no admissible months for region {region} in span {start}..{end}"

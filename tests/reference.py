@@ -11,6 +11,14 @@ same exception with the same message, on any file these accept or reject.
 search correlated all factors in one pass: the row pass in
 ``denguewatch.calibrate`` must give bit-identical r, or the same error.
 
+``reference_pearson_rows``, ``reference_objective_space`` and
+``reference_predict_and_extract`` are those functions as they were before
+the per-origin path was cut down to fewer numpy calls: y in its own pass
+beside the rows, R as a per-month ``math.prod`` of powers of numpy scalars
+with each month from ``MonthIndex`` arithmetic, and the spike scan over
+numpy scalars. The package must give equal results, bit for bit, and the
+same errors.
+
 ``table2_fixture`` holds the published comparison rows the acceptance and
 evaluation tests score.
 """
@@ -24,7 +32,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from denguewatch.errors import CorrelationUndefinedError, IngestionError, ParameterError
+from denguewatch.baseline import _quantile, fitted_values
+from denguewatch.errors import (
+    CorrelationUndefinedError,
+    IngestionError,
+    ParameterError,
+    PipelineError,
+)
 from denguewatch.evaluation import OutbreakCalendar
 from denguewatch.panel import (
     MOBILITY_HEADER,
@@ -36,6 +50,7 @@ from denguewatch.panel import (
     load_series_table,
 )
 from denguewatch.pareto import rank_points
+from denguewatch.risk import RiskMonth, RiskSeries, incidence_peak, target_columns
 
 _NONNEGATIVE = {Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION}
 
@@ -212,6 +227,105 @@ def reference_pearson(x, y) -> float:
         raise CorrelationUndefinedError("zero variance in at least one argument")
     r = (float((xc * yc).sum()) - ex * ey / n) / (sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    peak = np.abs(v).max(axis=-1, keepdims=True)
+    return np.ldexp(v, -np.frexp(peak)[1])
+
+
+def reference_pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
+    """Pearson r of each row of ``xs`` against ``y``, or the error pearson
+    raises for it: rows grouped by mask, y centred in a pass of its own."""
+    keep = ~(np.isnan(xs) | np.isnan(y))
+    groups = {}
+    for i, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(i)
+    out = [None] * len(xs)
+    for rows in groups.values():
+        mask = keep[rows[0]]
+        n = int(np.count_nonzero(mask))
+        if n < 3:
+            for i in rows:
+                out[i] = CorrelationUndefinedError(f"need >= 3 paired observations, got {n}")
+            continue
+        x = np.ascontiguousarray(xs[rows][:, mask])
+        ya = y[mask]
+        xc = _unit_scaled(x - (x.sum(axis=1) / n)[:, None])
+        yc = _unit_scaled(ya - ya.sum() / n)
+        ey = float(yc.sum())
+        sy = math.sqrt(max(float((yc * yc).sum()) - ey * ey / n, 0.0))
+        sums = zip(
+            xc.sum(axis=1).tolist(),
+            (xc * xc).sum(axis=1).tolist(),
+            (xc * yc).sum(axis=1).tolist(),
+        )
+        for i, (ex, exx, exy) in zip(rows, sums):
+            sx = math.sqrt(max(exx - ex * ex / n, 0.0))
+            if sx == 0.0 or sy == 0.0:
+                out[i] = CorrelationUndefinedError("zero variance in at least one argument")
+            else:
+                r = (exy - ex * ey / n) / (sx * sy)
+                out[i] = max(-1.0, min(1.0, r))
+    return out
+
+
+def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:
+    """The objective space with R as a product over each month's row of
+    membership degrees, and each month's record from MonthIndex arithmetic."""
+    cols = target_columns(
+        panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION
+    )
+    start, end = panel.span
+    i_peak = incidence_peak(cols.infected, region)
+    inputs = cols.inputs(params.lags)
+    rain, temp, humid, r_mob, infected, susceptible, population = inputs
+    zero_pop = np.flatnonzero(~np.isnan(infected) & ~np.isnan(susceptible) & (population == 0.0))
+    if zero_pop.size:
+        raise ParameterError(
+            f"region {region} has zero population at {start + (int(zero_pop[0]) - 1)}"
+        )
+    ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
+    degrees = zip(
+        mfs.rain.evaluate(rain[ok]),
+        mfs.temp.evaluate(temp[ok]),
+        mfs.humid.evaluate(humid[ok]),
+        mfs.mobility.evaluate(r_mob[ok]),
+    )
+    r = np.clip(
+        [math.prod(float(m) ** c for m, c in zip(row, params.exponents)) for row in degrees],
+        0.0,
+        1.0,
+    )
+    l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
+        infected[ok] / i_peak, 0.0, 1.0
+    )
+    d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
+    d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
+    months = tuple(
+        RiskMonth(start + int(k), *row)
+        for k, row in zip(np.flatnonzero(ok), np.column_stack((r, l, d1, d2)).tolist())
+    )
+    if not months:
+        raise PipelineError(f"no admissible months for region {region} in span {start}..{end}")
+    skipped = tuple(start + int(k) for k in np.flatnonzero(~ok))
+    return RiskSeries(region=region, months=months, skipped=skipped)
+
+
+def reference_predict_and_extract(coeffs, design, months, threshold_quantile) -> list:
+    """The months whose fitted value is over the quantile and a local peak,
+    scanned over numpy scalars."""
+    d = fitted_values(coeffs, design)
+    threshold = _quantile(d, threshold_quantile)
+    predicted = []
+    for i, t in enumerate(months):
+        if d[i] <= threshold:
+            continue
+        left = d[i - 1] if i > 0 else -np.inf
+        right = d[i + 1] if i < len(d) - 1 else -np.inf
+        if d[i] >= left and d[i] >= right and (d[i] > left or d[i] > right):
+            predicted.append(t)
+    return predicted
 
 
 def _months(*pairs):

@@ -427,6 +427,14 @@ class TestUnreadableInput:
         assert code == 1
         assert err.startswith(f"error: {data / 'outbreaks.csv'}: not UTF-8 text")
 
+    def test_calendar_short_row(self, workspace, capsys):
+        _, data, _ = workspace
+        path = data / "outbreaks.csv"
+        path.write_text("flag,date\n1,2012-11\n1\n2,2013-02,extra\n")
+        code, err = self._report(workspace, capsys)
+        assert code == 1
+        assert err == f"error: {path}: line 3: expected at least 2 fields\n"
+
     def test_calendar_directory(self, workspace, capsys):
         tmp_path, data, _ = workspace
         code, _, err = run(

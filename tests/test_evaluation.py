@@ -115,6 +115,18 @@ class TestCalendarIO:
         with pytest.raises(FileNotFoundError):
             load_calendar(tmp_path / "nope.csv")
 
+    def test_short_row_is_a_line_numbered_error(self, tmp_path):
+        p = tmp_path / "cal.csv"
+        p.write_text("flag,date\n1,2012-11\n1\n2,2013-02,extra\n")
+        with pytest.raises(IngestionError) as info:
+            load_calendar(p)
+        assert str(info.value) == f"{p}: line 3: expected at least 2 fields"
+
+    def test_blank_rows_and_empty_dates_skipped(self, tmp_path):
+        p = tmp_path / "cal.csv"
+        p.write_text("flag,date\n1,2012-11\n\n , \n1,\n \n2,2013-02,extra\n")
+        assert load_calendar(p).months == months((2012, 11), (2013, 2))
+
 
 class TestPublishedComparison:
     def test_cardinalities(self):

@@ -262,6 +262,7 @@ class TestNamedPipe:
             (load_mobility, reference_load_mobility, "from,to,weight", ["A,B,1", "B,A,2"]),
             (load_calendar, None, "date", ["2012-11", "", "2012-13", "bad"]),
             (load_calendar, None, "date,flag", ["2012-11,1", "2013-02,0"]),
+            (load_calendar, None, "flag,date", ["1,2012-11", "1", "2,2013-02,extra"]),
         ],
     )
     def test_same_as_a_file(self, tmp_path, load, reference, header, rows):

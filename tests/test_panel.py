@@ -267,6 +267,36 @@ class TestAlign:
         with pytest.raises(AlignmentError, match="exceeds span"):
             a.slice(MonthIndex(2010, 2), MonthIndex(2010, 5))
 
+    def test_slice_is_a_read_only_view_equal_to_a_new_series(self):
+        a = mk([1.0, 2.0, None, 4.0, 5.0], MonthIndex(2010, 1), Variable.INCIDENCE)
+        view = a.slice(MonthIndex(2010, 2), MonthIndex(2010, 4))
+        assert np.shares_memory(view.values, a.values)
+        with pytest.raises(ValueError, match="read-only"):
+            view.values[0] = 0.0
+        with pytest.raises(AttributeError):
+            view.start = MonthIndex(2010, 1)
+        fresh = mk([2.0, None, 4.0], MonthIndex(2010, 2), Variable.INCIDENCE)
+        assert view == fresh and fresh == view
+        assert (type(view), view.end, len(view)) == (MonthlySeries, MonthIndex(2010, 4), 3)
+        inner = view.slice(MonthIndex(2010, 3), MonthIndex(2010, 4))
+        assert np.shares_memory(inner.values, a.values)
+        assert inner == mk([None, 4.0], MonthIndex(2010, 3), Variable.INCIDENCE)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "non-finite value at 2010-02 in WP/incidence_count"),
+        (-1.0, "negative incidence_count at 2010-02 in WP"),
+    ])
+    def test_read_only_array_is_kept_and_still_checked(self, bad, message):
+        """A read-only float array, such as a loader's view, is not copied,
+        and a new series on one is checked all the same."""
+        values = np.array([1.0, 2.0])
+        values.flags.writeable = False
+        assert MonthlySeries("WP", Variable.INCIDENCE, MonthIndex(2010, 1), values).values is values
+        values = np.array([1.0, bad])
+        values.flags.writeable = False
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            MonthlySeries("WP", Variable.INCIDENCE, MonthIndex(2010, 1), values)
+
     def test_disjoint_spans_error_lists_spans(self):
         a = mk([1.0] * 3, MonthIndex(2010, 1))
         b = mk([1.0] * 3, MonthIndex(2012, 1), Variable.INCIDENCE)

@@ -200,3 +200,12 @@ class TestDetectOutbreaks:
         flags = {str(f.t): f.flag for f in flagged}
         assert flags["2010-01"] == "front" and flags["2010-02"] == "front"
         assert flags["2010-03"] == "near"
+
+    def test_flagged_month_attributes_and_immutability(self):
+        (f,) = detect_outbreaks(risk_series([(0.3, 0.4)]))
+        assert type(f) is FlaggedMonth
+        assert (f.t, f.d1, f.d2, f.rank, f.flag) == (T0, 0.3, 0.4, 0, "front")
+        assert f.reliability == reliability(0.3, 0.4)
+        with pytest.raises(AttributeError):
+            f.rank = 1
+        assert f == (T0, 0.3, 0.4, 0, "front", f.reliability)  # a named tuple: equal to a plain one

@@ -264,6 +264,15 @@ class TestObjectiveSpace:
             objective_space(panel, unit_mfs(), params, "WP")
 
 
+class TestRiskMonth:
+    def test_attributes_and_immutability(self):
+        m = RiskMonth(START, 0.5, 0.25, 0.5, 0.75)
+        assert (m.t, m.R, m.L, m.d1, m.d2) == (START, 0.5, 0.25, 0.5, 0.75)
+        with pytest.raises(AttributeError):
+            m.R = 1.0
+        assert m == (START, 0.5, 0.25, 0.5, 0.75)  # a named tuple: equal to a plain one
+
+
 class TestInfectedDensity:
     def test_divides_by_population(self):
         panel = mk_panel(
