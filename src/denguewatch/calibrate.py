@@ -26,9 +26,9 @@ _TIE_EPS = 1e-12
 #: from the best, are re-scored exactly (see :func:`rainfall_cutoffs`).
 _CLUSTER_GAP = 1e-9
 
-#: Most grid points :func:`rainfall_cutoffs` scores. The pair broadcast peaks
-#: at about 72 bytes per (r_min, r_max) pair (tracemalloc, 120 months), so
-#: 2,700 points, 3.6 million pairs, keep its temporaries under 256 MiB.
+#: Most grid points :func:`rainfall_cutoffs` searches. Its work is bounded by
+#: the distinct bands, at most (n + 1)**2 over n months, so the cap bounds
+#: only the list of grid points itself.
 _MAX_GRID_POINTS = 2700
 
 
@@ -63,69 +63,80 @@ def pearson(x, y) -> float:
 
 def _pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
     """:func:`pearson` of each row of the float array ``xs`` against ``y``;
-    where it would raise, the entry is the error it would raise.
+    where it would raise, the entry is the error it would raise. The one-lag
+    entry of :func:`_lagged_pearson`."""
+    r, count = _lagged_pearson(xs, y, 1)
+    return [_undefined(c) if v != v else v for v, c in zip(r[0].tolist(), count[0].tolist())]
 
-    Rows that keep the same months (both sides present) share one pass over
-    a C-contiguous ``[rows + 1, n]`` array whose last row is ``y``, so one
-    set of row reductions gives every row's sums and y's as well. Each row
-    is reduced with the same elementwise steps as a lone vector, so every r
-    is bit-identical to one computed alone.
-    """
-    keep = ~(np.isnan(xs) | np.isnan(y))
-    if keep.all():  # every row keeps every month: one group, nothing to select
-        groups = [(range(len(xs)), xs, y)] if len(xs) else []
+
+def _undefined(count: int) -> CorrelationUndefinedError:
+    """The error :func:`pearson` raises for an undefined r over ``count`` pairs."""
+    if count < 3:
+        return CorrelationUndefinedError(f"need >= 3 paired observations, got {count}")
+    return CorrelationUndefinedError("zero variance in at least one argument")
+
+
+def _lagged_pearson(xs: np.ndarray, y: np.ndarray, lags: int):
+    """r of each row of ``xs`` at month t - k against ``y`` at t, as
+    :func:`pearson` gives it, for each lag k below ``lags``, and the count of
+    paired months: two ``[lags, rows]`` arrays, r NaN where undefined.
+
+    Each (lag, mask group) block, its rows and then y, holding the months
+    both have, left-aligned, is one slab of a C-contiguous array. Each sum is
+    one reduction with a prefix mask: numpy hands a row's one run of months
+    to the pairwise sum a lone vector gets (zero padding would regroup it),
+    so every r is bit-identical to one computed alone."""
+    m, n = xs.shape
+    if not (np.isnan(xs).any() or np.isnan(y).any()):
+        count = np.arange(n, n - lags, -1)[:, None] + np.zeros(m, dtype=int)
+        z = np.empty((lags, m + 1, n))
+        z[:, :m] = xs  # past n - k the mask hides it
+        for k in range(lags):
+            z[k, m, : n - k] = y[k:]
+        blocks = np.arange(min(lags, max(n - 2, 0)))  # the lags with >= 3 months
+        size, z = n - blocks, z[: blocks.size]
     else:
-        by_mask = {}
-        for i, row in enumerate(keep):
-            by_mask.setdefault(row.tobytes(), []).append(i)
-        groups = [
-            (rows, xs[rows][:, keep[rows[0]]], y[keep[rows[0]]]) for rows in by_mask.values()
-        ]
-    out = [None] * len(xs)
-    for rows, x, ya in groups:
-        n = ya.size
-        if n < 3:
-            for i in rows:
-                out[i] = CorrelationUndefinedError(
-                    f"need >= 3 paired observations, got {n}"
-                )
-            continue
-        # Filled in place: boolean column indexing alone gives an F-ordered
-        # array, whose row sums round differently from a lone vector's.
-        z = np.empty((len(rows) + 1, n))
-        z[:-1], z[-1] = x, ya
-        c = _unit_scaled(z - z.sum(axis=1, keepdims=True) / n)
-        e = c.sum(axis=1).tolist()
-        ee = (c * c).sum(axis=1).tolist()
-        exys = (c * c[-1]).sum(axis=1).tolist()
-        # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
-        # terms take out the rounding error of each mean, which dominates when
-        # the spread is a few ulps of the mean; elsewhere they are below half
-        # an ulp of the sum and change nothing.
-        ey = e[-1]
-        sy = math.sqrt(max(ee[-1] - ey * ey / n, 0.0))
-        for i, ex, exx, exy in zip(rows, e, ee, exys):  # stops before y's row
-            sx = math.sqrt(max(exx - ex * ex / n, 0.0))
-            if sx == 0.0 or sy == 0.0:
-                out[i] = CorrelationUndefinedError(
-                    "zero variance in at least one argument"
-                )
-            else:
-                r = (exy - ex * ey / n) / (sx * sy)
-                out[i] = max(-1.0, min(1.0, r))
-    return out
+        count, z = np.zeros((lags, m), dtype=int), np.zeros((lags, m, 2, n))
+        for k in range(lags):
+            for i, x in enumerate(xs[:, : n - k]):
+                keep = ~(np.isnan(x) | np.isnan(y[k:]))
+                count[k, i] = size = np.count_nonzero(keep)
+                z[k, i, :, :size] = x[keep], y[k:][keep]
+        blocks = np.flatnonzero(count >= 3)
+        size, z = count.ravel()[blocks], z.reshape(lags * m, 2, n)[blocks]
+    r = np.full((lags, m), np.nan)
+    if not (blocks.size and m):
+        return r, count
+    pairs, months = size[:, None], z.shape[-1]
+    mask = True if size.min() == months else np.arange(months) < pairs[:, :, None]
+    mean = z.sum(axis=-1, keepdims=True, where=mask) / pairs[:, None]
+    c = _unit_scaled(np.subtract(z, mean, out=np.zeros_like(z), where=mask))
+    e = c.sum(axis=-1, where=mask)
+    cc = c * c
+    ee = cc.sum(axis=-1, where=mask)
+    exy = np.multiply(c, c[:, -1:], out=cc)[:, :-1].sum(axis=-1, where=mask)
+    # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
+    # terms take out the rounding error of each mean, which dominates when
+    # the spread is a few ulps of the mean; elsewhere they are below half
+    # an ulp of the sum and change nothing.
+    s = np.sqrt(np.maximum(ee - e * e / pairs, 0.0))
+    sxy = s[:, :-1] * s[:, -1:]  # 0 only where a factor is: sqrt(2**-1074)**2 is 2**-1074
+    rb = np.full(sxy.shape, np.nan)
+    np.divide(exy - e[:, :-1] * e[:, -1:] / pairs, sxy, out=rb, where=sxy != 0.0)
+    r.reshape(-1, rb.shape[1])[blocks] = np.minimum(np.maximum(rb, -1.0, out=rb), 1.0, out=rb)
+    return r, count
 
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings its max-abs into [0.5, 1), each
-    row on its own when v is 2-D.
+    """v, scaled in place by the power of two that brings its max-abs into
+    [0.5, 1), each row on its own when v has more than one axis.
 
     Squaring then neither underflows nor overflows, so r stays affine
     invariant near zero variance; a power-of-two scale is exact, so r is
     unchanged wherever the squares were already in range.
     """
     peak = np.abs(v).max(axis=-1, keepdims=True)
-    return np.ldexp(v, -np.frexp(peak)[1])
+    return np.ldexp(v, -np.frexp(peak)[1], out=v)
 
 
 def lagged_pair(factor, incidence, k: int):
@@ -157,8 +168,8 @@ def best_lags(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> list:
     (rainfall-style factors may act through a negative association). Ties
     break toward the smaller lag. The signed r at the chosen lag is reported.
     A factor with no defined correlation at any lag gets the
-    :class:`CorrelationUndefinedError` of the last lag tried. Each lag
-    correlates every factor in one :func:`_pearson_rows` pass.
+    :class:`CorrelationUndefinedError` of the last lag tried. Every lag of
+    every factor is correlated in one :func:`_lagged_pearson` pass.
     """
     if max_lag < 0:
         raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
@@ -169,16 +180,13 @@ def best_lags(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> list:
             raise ParameterError(f"length mismatch: {fa.size} vs {inc.size}")
     n = inc.size
     stack = np.array(columns).reshape(len(columns), n)
-    best = [None] * len(columns)  # a LagResult, or the last error until one is found
-    for k in range(min(max_lag, n) + 1):  # lags past n pair no months, as lag n
-        for i, r in enumerate(_pearson_rows(stack[:, : n - k], inc[k:])):
-            found = isinstance(best[i], LagResult)
-            if isinstance(r, CorrelationUndefinedError):
-                if not found:
-                    best[i] = r
-            elif not found or abs(r) > abs(best[i].correlation) + _TIE_EPS:
-                best[i] = LagResult(k, r)
-    return best
+    r, count = _lagged_pearson(stack, inc, min(max_lag, n) + 1)  # lags past n: as n
+    best = [None] * len(columns)  # (lag, r) once one is defined
+    for k, row in enumerate(r.tolist()):
+        for i, v in enumerate(row):
+            if v == v and (best[i] is None or abs(v) > abs(best[i][1]) + _TIE_EPS):
+                best[i] = (k, v)
+    return [_undefined(c) if b is None else LagResult(*b) for b, c in zip(best, count[-1].tolist())]
 
 
 def best_lag(factor, incidence, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
@@ -209,24 +217,24 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
 
         r = (C - k*ey/n) / (sqrt(k*(n - k)/n) * sqrt(sum(c*c) - ey**2/n)).
 
-    With the months sorted by rainfall once, k and C of every pair come
-    from ``searchsorted`` on the grid and a cumulative sum of c, so all
-    G*(G-1)/2 pairs are scored in one broadcast, O(n log n + G**2). A pair
-    is undefined exactly where :func:`pearson` raises: n < 3, constant
+    With the months sorted by rainfall once, k and C of a band come from
+    ``searchsorted`` on the G grid points and a cumulative sum of c. Points
+    with equal search indices give one band, so each distinct band is scored
+    once, in one broadcast: O(n log n + min(G, n + 1)**2). A band is
+    undefined exactly where :func:`pearson` raises: n < 3, constant
     incidence, or k in {0, n}.
 
     Same pair as the exhaustive loop. The closed form sums in another
-    order, so it is trusted only to rank. The pairs reached from the best
+    order, so it is trusted only to rank. The bands reached from the best
     closed-form score through gaps of at most ``_CLUSTER_GAP`` (1e-9) are
-    re-scored with :func:`pearson`, in pair order, under the rule above.
-    The two differ by rounding only (under 1e-13 on panels of up to 12,000
-    months, incidence like 1e8 + 1e-7*j included), far below the gap, so
-    every pair outside the cluster has an r below every pair inside by
-    more than 1e-12. It can then neither tie with nor replace a pair of
-    the cluster, and the first cluster pair replaces any best found before
-    it: the exhaustive loop and the re-scored cluster end on the same pair.
-    Pairs with equal search indices share one indicator, so each such band
-    is re-scored once.
+    re-scored with :func:`pearson`, and their pairs replayed in pair order
+    under the rule above. The two differ by rounding only (under 1e-13 on
+    panels of up to 12,000 months, incidence like 1e8 + 1e-7*j included),
+    far below the gap, so every pair outside the cluster has an r below
+    every pair inside by more than 1e-12. It can then neither tie with nor
+    replace a pair of the cluster, and the first cluster pair replaces any
+    best found before it: the exhaustive loop and the replayed cluster end
+    on the same pair.
     """
     if grid_step <= 0:
         raise ParameterError(f"grid_step must be > 0, got {grid_step}")
@@ -252,12 +260,17 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
 
     keep = ~(np.isnan(ra) | np.isnan(ia))
     x, y = ra[keep], ia[keep]
-    lows, highs = np.triu_indices(len(grid), 1)  # the pairs in loop order
     order = np.argsort(x)
     sorted_rain, cuts = x[order], np.array(grid, dtype=float)
-    band_lo = np.searchsorted(sorted_rain, cuts, "left")[lows]  # first month >= r_min
-    band_hi = np.searchsorted(sorted_rain, cuts, "right")[highs]  # past the last <= r_max
-    score = _band_scores(y, order, band_lo, band_hi)
+    band_lo = np.searchsorted(sorted_rain, cuts, "left")  # first month >= r_min
+    band_hi = np.searchsorted(sorted_rain, cuts, "right")  # past the last <= r_max
+    # Neither decreases along the grid, so each run of equal values is one
+    # band edge: r_min runs from lo_first to lo_last, r_max likewise.
+    lo_last = np.append(np.flatnonzero(band_lo[1:] != band_lo[:-1]), len(grid) - 1)
+    hi_last = np.append(np.flatnonzero(band_hi[1:] != band_hi[:-1]), len(grid) - 1)
+    lo_first, hi_first = np.append(0, lo_last[:-1] + 1), np.append(0, hi_last[:-1] + 1)
+    score = _band_scores(y, order, band_lo[lo_first][:, None], band_hi[hi_last])
+    score[lo_first[:, None] >= hi_last] = -np.inf  # no pair r_min < r_max gives the band
     defined = score[score > -np.inf]
     if defined.size == 0:
         raise CalibrationError("no cutoff pair produced a defined correlation")
@@ -265,15 +278,24 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     gaps = np.flatnonzero(top[:-1] - top[1:] > _CLUSTER_GAP)
     floor = top[gaps[0]] if gaps.size else top[-1]
 
+    runs, bands = np.nonzero(score >= floor)
+    inside = (x >= cuts[lo_first[runs], None]) & (x <= cuts[hi_last[bands], None])
+    exact = _pearson_rows(inside.astype(float), y)
+    # For one r_min a band's pairs come in a row, each a grid step wider. With
+    # steps well over the tie width and the rounding of a width, once one of
+    # them replaces the best the rest do too: the widest alone ends the same.
+    if grid_step > 4 * _TIE_EPS + 5 * math.ulp(2 * max(abs(grid[0]), abs(grid[-1]))):
+        hi_first = hi_last
+    edges = (lo_first[runs], lo_last[runs], hi_first[bands], hi_last[bands])
+    pairs = sorted(
+        (i, j, r)
+        for i0, i1, j0, j1, r in zip(*(a.tolist() for a in edges), exact)
+        for i in range(i0, i1 + 1)
+        for j in range(max(j0, i + 1), j1 + 1)
+    )
     best: CutoffResult | None = None
-    exact = {}
-    p = np.flatnonzero(score >= floor)
-    bands = zip(band_lo[p].tolist(), band_hi[p].tolist())
-    for i, j, band in zip(lows[p].tolist(), highs[p].tolist(), bands):
+    for i, j, r in pairs:
         a, b = grid[i], grid[j]
-        if band not in exact:
-            exact[band] = pearson(band_indicator(x, a, b), y)
-        r = exact[band]
         if best is None or r > best.correlation + _TIE_EPS:
             best = CutoffResult(a, b, r)
         elif abs(r - best.correlation) <= _TIE_EPS:
@@ -286,22 +308,22 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
 
 
 def _band_scores(y: np.ndarray, order: np.ndarray, band_lo, band_hi) -> np.ndarray:
-    """Closed-form r of each band [band_lo, band_hi) of the months sorted by
-    ``order``, against y; -inf where :func:`pearson` would raise."""
+    """Closed-form r of each band [band_lo, band_hi), bounds broadcast, of the
+    months sorted by ``order``, against y; -inf where :func:`pearson` raises."""
     n = y.size
-    score = np.full(band_lo.size, -np.inf)
+    k = band_hi - band_lo
+    score = np.full(k.shape, -np.inf)
     if n < 3:
         return score
-    c = _unit_scaled(y - y.mean())
+    c = _unit_scaled(y - y.sum() / n)  # y.mean(), without its Python wrapper
     ey = float(c.sum())
     sy = math.sqrt(max(float((c * c).sum()) - ey * ey / n, 0.0))
     if sy == 0.0:
         return score
-    k = band_hi - band_lo
     ok = (k > 0) & (k < n)
     inside = np.concatenate(([0.0], np.cumsum(c[order])))
     k = k[ok]
-    score[ok] = (inside[band_hi[ok]] - inside[band_lo[ok]] - k * ey / n) / (
+    score[ok] = ((inside[band_hi] - inside[band_lo])[ok] - k * ey / n) / (
         np.sqrt(k * (n - k) / n) * sy
     )
     return score

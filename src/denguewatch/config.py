@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError, IngestionError
 from .panel import MonthIndex
 
@@ -201,6 +199,8 @@ def load_config(path=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    import yaml  # here, not at the top: a run without a config file never loads it
+
     with open(path, encoding="utf-8") as fh:
         loaded = yaml.safe_load(fh)
     if loaded is None:
@@ -211,4 +211,6 @@ def load_config(path=None) -> dict:
 
 
 def dump_defaults() -> str:
+    import yaml
+
     return yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False)

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
@@ -204,6 +204,8 @@ class Panel:
     series: Mapping
     mobility: Optional[MobilityMatrix] = None
     span: Optional[tuple] = None  # (start, end) after alignment
+    # region -> its risk.TargetColumns, built once for every stage that shares the panel
+    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, region: str, variable: Variable) -> Optional[MonthlySeries]:
         return self.series.get((region, variable))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -87,6 +87,8 @@ class Calibration:
     cutoffs: cal.CutoffResult
     exponents: tuple
     mobility_c: float
+    # The membership functions the exponents were estimated with, if any.
+    membership: MembershipFunctions | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +151,7 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         mobility_c = default_mobility_c(factors["mobility"], region)
     mobility_c = float(mobility_c)
 
+    mfs = None
     if ccfg["exponents"] is not None:
         exponents = tuple(float(c) for c in ccfg["exponents"])
     else:
@@ -156,7 +159,7 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]
         exponents = cal.estimate_exponents(member, incidence, max_lag)
 
-    return Calibration(lags, correlations, cutoffs, exponents, mobility_c)
+    return Calibration(lags, correlations, cutoffs, exponents, mobility_c, mfs)
 
 
 def membership_functions(cfg: dict, cutoffs, mobility_c: float) -> MembershipFunctions:
@@ -191,7 +194,9 @@ def risk_params(cfg: dict, calibration: Calibration) -> RiskParams:
 def detect(panel: Panel, cfg: dict, calibration: Calibration):
     """Objective space plus flagged months for the target region."""
     region = cfg["region"]
-    mfs = membership_functions(cfg, calibration.cutoffs, calibration.mobility_c)
+    mfs = calibration.membership or membership_functions(
+        cfg, calibration.cutoffs, calibration.mobility_c
+    )
     params = risk_params(cfg, calibration)
     series = objective_space(panel, mfs, params, region)
     flagged = pareto.detect_outbreaks(series, cfg["detection"]["rank_threshold"])

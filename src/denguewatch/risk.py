@@ -13,7 +13,7 @@ so that months closest to the ideal point (0, 0) are outbreak candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -86,8 +86,9 @@ class RiskSeries:
 
 @dataclass(frozen=True)
 class TargetColumns:
-    """A target region's series over the aligned span, one entry per month:
-    NaN where a month is missing, all-NaN where the region lacks the series."""
+    """A target region's series over the aligned span, one read-only entry
+    per month: NaN where a month is missing, all-NaN where the region lacks
+    the series."""
 
     rain: np.ndarray
     temp: np.ndarray
@@ -97,6 +98,10 @@ class TargetColumns:
     susceptible: np.ndarray
     population: np.ndarray
     mobility_pad: float  # R_mob before the span: 0.0, an empty sum, when unfed
+
+    def __post_init__(self):  # shared by every stage of a run, which only reads them
+        for f in fields(self)[:-1]:  # the arrays, not mobility_pad
+            getattr(self, f.name).flags.writeable = False
 
     def inputs(self, lags: Lags) -> tuple:
         """Each month t's model inputs: rain, temp, humid and R_mob at t
@@ -147,23 +152,27 @@ def mobility_risk(panel: Panel, region: str) -> np.ndarray:
 
 
 def target_columns(panel: Panel, region: str, *required: Variable) -> TargetColumns:
-    """The region's columns at lag 0 over the aligned span. Each series in
-    ``required`` must exist (:class:`MissingSeriesError` otherwise); any
-    other the region lacks is all-NaN."""
+    """The region's columns at lag 0 over the aligned span, built once per
+    panel. Each series in ``required`` must exist
+    (:class:`MissingSeriesError` otherwise); any other the region lacks is
+    all-NaN."""
     if panel.span is None:
         raise ParameterError("panel must be aligned before building columns")
     for variable in required:
         panel.require(region, variable)
-    return TargetColumns(
-        _column(panel, region, Variable.RAINFALL),
-        _column(panel, region, Variable.TEMPERATURE),
-        _column(panel, region, Variable.HUMIDITY),
-        mobility_risk(panel, region),
-        _column(panel, region, Variable.INCIDENCE),
-        _column(panel, region, Variable.SUSCEPTIBLE),
-        _column(panel, region, Variable.POPULATION),
-        0.0 if panel.mobility is not None and not _feeders(panel.mobility, region) else np.nan,
-    )
+    cols = panel.columns.get(region)
+    if cols is None:
+        cols = panel.columns[region] = TargetColumns(
+            _column(panel, region, Variable.RAINFALL),
+            _column(panel, region, Variable.TEMPERATURE),
+            _column(panel, region, Variable.HUMIDITY),
+            mobility_risk(panel, region),
+            _column(panel, region, Variable.INCIDENCE),
+            _column(panel, region, Variable.SUSCEPTIBLE),
+            _column(panel, region, Variable.POPULATION),
+            0.0 if panel.mobility is not None and not _feeders(panel.mobility, region) else np.nan,
+        )
+    return cols
 
 
 def incidence_peak(infected: np.ndarray, region: str) -> float:

@@ -17,7 +17,8 @@ the per-origin path was cut down to fewer numpy calls: y in its own pass
 beside the rows, R as a per-month ``math.prod`` of powers of numpy scalars
 with each month from ``MonthIndex`` arithmetic, and the spike scan over
 numpy scalars. The package must give equal results, bit for bit, and the
-same errors.
+same errors. ``reference_best_lags`` is the lag search as it was before every
+lag went into one masked pass: one ``reference_pearson_rows`` call per lag.
 
 ``table2_fixture`` holds the published comparison rows the acceptance and
 evaluation tests score.
@@ -33,6 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from denguewatch.baseline import _quantile, fitted_values
+from denguewatch.calibrate import LagResult
 from denguewatch.errors import (
     CorrelationUndefinedError,
     IngestionError,
@@ -268,6 +270,25 @@ def reference_pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
                 r = (exy - ex * ey / n) / (sx * sy)
                 out[i] = max(-1.0, min(1.0, r))
     return out
+
+
+def reference_best_lags(factors, incidence, max_lag: int) -> list:
+    """Each factor's best lag as a LagResult, or the error of its last lag,
+    from one reference row pass per lag; ties within 1e-12 keep the smaller
+    lag."""
+    inc = np.asarray(incidence, dtype=float)
+    stack = np.array([np.asarray(f, dtype=float) for f in factors]).reshape(len(factors), inc.size)
+    n = inc.size
+    best = [None] * len(stack)
+    for k in range(min(max_lag, n) + 1):
+        for i, r in enumerate(reference_pearson_rows(stack[:, : n - k], inc[k:])):
+            found = isinstance(best[i], LagResult)
+            if isinstance(r, CorrelationUndefinedError):
+                if not found:
+                    best[i] = r
+            elif not found or abs(r) > abs(best[i].correlation) + 1e-12:
+                best[i] = LagResult(k, r)
+    return best
 
 
 def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:

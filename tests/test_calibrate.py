@@ -472,6 +472,53 @@ class TestSearchMatchesLoops:
         rain, inc = rain[perm], inc[perm]
         assert rainfall_cutoffs(rain, inc, 0) == reference_rainfall_cutoffs(rain, inc, 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fine_grid_over_few_rain_values(self, seed):
+        """Dozens of grid pairs share each band, the best one included."""
+        rng = np.random.default_rng(seed)
+        rain = rng.choice([40.0, 120.0, 200.0, 260.0, 330.0, 410.0], size=60)
+        inc = 3.0 * ((rain >= 150.0) & (rain <= 350.0)) + rng.normal(0.0, 0.5 * (seed % 2), 60)
+        grid_step = (4.0, 5.0, 7.5, 2.5)[seed]
+        assert rainfall_cutoffs(rain, inc, 0, grid_step) == reference_rainfall_cutoffs(
+            rain, inc, 0, grid_step
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_ties_on_a_fine_grid(self, seed):
+        """Two bands' r differ by rounding only, and many pairs give each."""
+        rng = np.random.default_rng(seed)
+        same = rng.uniform(1.0, 2.0, size=3)
+        rain = column([100.0] * 3 + [300.0] * 3 + [20.0, 480.0, 200.0] * 2)
+        inc = np.concatenate((same, rng.permutation(same), [-5.0, -5.0, -1000.0] * 2))
+        assert rainfall_cutoffs(rain, inc, 0, 6.0) == reference_rainfall_cutoffs(rain, inc, 0, 6.0)
+
+    def test_step_near_the_tie_width(self):
+        """Grid points 1e-12 apart: widths tie within 1e-12, so every pair of
+        the best bands is replayed, not only the widest per r_min."""
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rain = rng.choice([0.0, 5.0, 10.0, 15.0, 20.0], size=24) * 1e-12
+            inc = rng.poisson(5.0, size=24).astype(float)
+            assert outcome(rainfall_cutoffs, rain, inc, 0, 1e-12) == outcome(
+                reference_rainfall_cutoffs, rain, inc, 0, 1e-12
+            )
+
+    def test_grid_at_the_cap_scores_distinct_bands_only(self):
+        """A legal 2,700-point grid over 120 months holds at most 121**2
+        distinct bands; the search stays small whatever the step."""
+        rng = np.random.default_rng(0)
+        rain = np.concatenate(([0.0, 2699.0], rng.uniform(0.0, 2699.0, size=118)))
+        planted = (rain >= 600.0) & (rain <= 1500.0)
+        inc = 10.0 + 90.0 * planted + rng.normal(0.0, 5.0, 120)
+        tracemalloc.start()
+        try:
+            result = rainfall_cutoffs(rain, inc, 0, grid_step=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert ((rain >= result.r_min) & (rain <= result.r_max) == planted).all()
+
     @settings(max_examples=60, deadline=None)
     @given(drawn_panels(), st.integers(0, 4), st.sampled_from([10.0, 25.0, 7.5, 20]))
     def test_drawn_panels_cutoffs(self, panel, lag, grid_step):

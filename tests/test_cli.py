@@ -524,3 +524,22 @@ def test_report_imports_neither_synth_nor_numpy_ma(workspace):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_pipeline_without_a_config_file_never_imports_yaml():
+    """``yaml`` is imported only to read or write a YAML file, so a run on
+    the built-in defaults does without it."""
+    script = (
+        "import sys\n"
+        "import denguewatch.pipeline\n"
+        "from denguewatch import config\n"
+        "config.load_config()\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -10,7 +10,13 @@ import pytest
 
 from denguewatch import calibrate
 from denguewatch.baseline import GlmCoefficients, predict_and_extract
-from denguewatch.calibrate import _pearson_rows, best_lags, pearson
+from denguewatch.calibrate import (
+    _pearson_rows,
+    best_lags,
+    estimate_exponents,
+    exponents_from_correlations,
+    pearson,
+)
 from denguewatch.errors import DengueWatchError
 from denguewatch.fuzzy import (
     humidity_mf_default,
@@ -22,6 +28,7 @@ from denguewatch.panel import MobilityMatrix, MonthIndex, MonthlySeries, Panel, 
 from denguewatch.risk import Lags, MembershipFunctions, RiskParams, objective_space
 
 from reference import (
+    reference_best_lags,
     reference_objective_space,
     reference_pearson_rows,
     reference_predict_and_extract,
@@ -101,10 +108,103 @@ class TestCorrelationPass:
             xs, inc = factor_stack(kind, seed)
             factors = list(xs)
             with mock.patch.object(calibrate, "_pearson_rows", reference_pearson_rows):
-                expected = entries(best_lags(factors, inc, 6))
                 expected_r = [outcome(pearson, f, inc) for f in factors]
+            expected = entries(reference_best_lags(factors, inc, 6))
             assert entries(best_lags(factors, inc, 6)) == expected, seed
             assert [outcome(pearson, f, inc) for f in factors] == expected_r, seed
+
+
+LAG_KINDS = (
+    "plain", "own_gaps", "shared_gaps", "all_nan_row", "constant", "short", "past_the_end",
+    "subnormal", "huge_and_tiny",
+)
+
+
+def lag_case(kind, seed, n=None):
+    """Seeded (1-4 factor rows, incidence, max_lag) of one kind; factor 0
+    follows incidence at a planted lag."""
+    rng = np.random.default_rng([seed, LAG_KINDS.index(kind), 3])
+    m = 1 + seed % 4
+    if n is None:
+        n = {"short": int(rng.integers(0, 5)), "past_the_end": int(rng.integers(3, 10))}.get(
+            kind, int(rng.integers(12, 150))
+        )
+    max_lag = n + int(rng.integers(1, 4)) if kind in ("short", "past_the_end") else 6
+    inc = rng.poisson(20.0, size=n).astype(float) + rng.uniform(size=n)
+    xs = rng.normal(size=(m, n))
+    k = int(rng.integers(0, 7))
+    xs[0, : max(n - k, 0)] += inc[k:] / 5.0
+    if kind == "own_gaps":
+        xs[rng.uniform(size=xs.shape) < 0.2] = np.nan
+        inc[rng.uniform(size=n) < 0.1] = np.nan
+    elif kind == "shared_gaps":
+        xs[:, rng.uniform(size=n) < 0.2] = np.nan
+    elif kind == "all_nan_row":
+        xs[-1] = np.nan
+    elif kind == "constant":  # zero spread, or a spread of a few ulps of the mean
+        xs[-1] = 0.1
+        xs[1:-1] = 1e8 + np.arange(n) * 1e-7
+    elif kind == "subnormal":  # a few ulps of the smallest subnormal apart
+        xs = np.round(xs * 4.0) * 5e-324
+        inc = np.round(inc) * 5e-324
+    elif kind == "huge_and_tiny":
+        xs *= 10.0 ** rng.choice([-150, 150], size=(m, 1))
+        inc *= 10.0 ** rng.choice([-150, 150])
+    return list(xs), inc, max_lag
+
+
+class TestMaskedLagPass:
+    """The lag search correlates every lag of every factor in one pass of
+    prefix-masked row sums; it equals one reference row pass per lag."""
+
+    def test_prefix_masked_sums_equal_lone_sums(self):
+        """The numpy property the pass relies on: a row sum under a prefix
+        mask equals the sum of the lone slice, bit for bit, for x, c*c and
+        c*y, whatever the padding past the prefix holds."""
+        rng = np.random.default_rng(7)
+        for length in [*range(1, 301), 8191, 8192, 12000]:
+            months = length + int(rng.integers(0, 9))
+            z = rng.normal(size=(3, 3, months)) * 10.0 ** rng.integers(-100, 100, size=(3, 3, 1))
+            size = np.array([length, int(rng.integers(1, length + 1)), months])
+            z[1, :, size[1]:] = 1e100  # past the prefix: never summed
+            mask = np.arange(months) < size[:, None, None]
+            cc, cy = z * z, z * z[:, -1:]
+            sums = [a.sum(axis=-1, where=mask) for a in (z, cc, cy)]
+            for b, p in np.ndindex(3, 3):
+                lone = [a[b, p, : size[b]].sum() for a in (z, cc, cy)]
+                assert [s[b, p] for s in sums] == lone, (length, b, p)
+
+    @pytest.mark.parametrize("kind", LAG_KINDS)
+    def test_every_lag_equals_reference_rows(self, kind):
+        for seed in range(40):
+            factors, inc, max_lag = lag_case(kind, seed)
+            xs, n = np.array(factors).reshape(len(factors), inc.size), inc.size
+            for k in range(min(max_lag, n) + 1):
+                got = _pearson_rows(xs[:, : n - k], inc[k:])
+                assert entries(got) == entries(reference_pearson_rows(xs[:, : n - k], inc[k:]))
+            expected = reference_best_lags(factors, inc, max_lag)
+            assert entries(best_lags(factors, inc, max_lag)) == entries(expected), seed
+            if len(factors) == 4:
+                mags = [0.0 if isinstance(r, Exception) else abs(r.correlation) for r in expected]
+                assert outcome(estimate_exponents, factors, inc, max_lag) == outcome(
+                    exponents_from_correlations, mags
+                ), seed
+
+    @pytest.mark.parametrize("kind", ["plain", "own_gaps"])
+    def test_long_panel(self, kind):
+        factors, inc, max_lag = lag_case(kind, 3, n=12000)
+        assert entries(best_lags(factors, inc, max_lag)) == entries(
+            reference_best_lags(factors, inc, max_lag)
+        )
+
+    def test_cases_reach_every_outcome(self):
+        """The fuzzed cases hold defined and undefined lags of both kinds."""
+        found = set()
+        for kind in LAG_KINDS:
+            for seed in range(40):
+                for r in best_lags(*lag_case(kind, seed)):
+                    found.add(str(r).split()[0] if isinstance(r, Exception) else "defined")
+        assert found == {"defined", "need", "zero"}
 
 
 def risk_case(kind, seed):

@@ -1,10 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from denguewatch import pipeline, risk
 from denguewatch.baseline import build_design
+from denguewatch.config import default_config
 from denguewatch.errors import ParameterError, PipelineError, UnderdeterminedError
 from denguewatch.fuzzy import (
     PiecewiseLinearMF,
@@ -16,6 +19,7 @@ from denguewatch.fuzzy import (
 from denguewatch.panel import (
     MobilityMatrix,
     MonthIndex,
+    MissingSeriesError,
     MonthlySeries,
     Panel,
     Variable,
@@ -28,7 +32,9 @@ from denguewatch.risk import (
     RiskParams,
     mobility_risk,
     objective_space,
+    target_columns,
 )
+from denguewatch.synth import SynthConfig, generate
 
 from reference import value_at, values_of
 
@@ -490,3 +496,50 @@ class TestRaggedPanel:
         assert mobility_risk(panel, "V").tolist() == [0.0] * N_RAGGED
         rs = objective_space(panel, self.MFS, self.PARAMS, "T")
         assert len(rs.months) > 8 and len(rs.skipped) > 2
+
+
+class TestSharedPerPanel:
+    """The stages that share a panel share its target columns, and detection
+    reuses the membership functions calibration built."""
+
+    def test_columns_built_once_per_panel_and_read_only(self):
+        panel = mk_panel([1.0] * 8, [2.0] * 8, [3.0] * 8, [4.0] * 8, [5.0] * 8)
+        cols = target_columns(panel, "WP")
+        assert target_columns(panel, "WP", Variable.INCIDENCE, Variable.POPULATION) is cols
+        assert all(not getattr(cols, f.name).flags.writeable for f in fields(cols)[:-1])
+        with pytest.raises(ValueError):
+            cols.mobility[0] = 1.0
+        target_columns(panel, "NB")
+        with pytest.raises(MissingSeriesError):  # required series are checked on every call
+            target_columns(panel, "NB", Variable.RAINFALL)
+
+    def test_realigned_or_resliced_panel_gets_its_own(self):
+        panel = mk_panel(
+            [float(i) for i in range(8)], [2.0] * 8, [3.0] * 8, [4.0 + i for i in range(8)],
+            [5.0] * 8,
+        )
+        cols = target_columns(panel, "WP")
+        again = align(panel)
+        assert target_columns(again, "WP") is not cols
+        end = panel.span[0] + 4
+        short = align(Panel(
+            {k: s.slice(panel.span[0], end) for k, s in panel.series.items()}, panel.mobility
+        ))
+        short_cols = target_columns(short, "WP")
+        assert short_cols is not cols and short_cols.rain.size == 5
+        assert short_cols.rain.tolist() == cols.rain[:5].tolist()
+        assert short_cols.mobility.tolist() == cols.mobility[:5].tolist()
+
+    def test_one_run_builds_columns_and_membership_functions_once(self):
+        panel, _ = generate(SynthConfig())
+        cfg = default_config()
+        built = PiecewiseLinearMF.__post_init__
+        with mock.patch.object(risk, "mobility_risk", wraps=risk.mobility_risk) as r_mob, \
+                mock.patch.object(
+                    PiecewiseLinearMF, "__post_init__", autospec=True, side_effect=built
+                ) as mf:
+            calibration = pipeline.calibrate_panel(panel, cfg)
+            pipeline.detect(panel, cfg, calibration)
+            pipeline.run_baseline(panel, cfg, calibration)
+        assert r_mob.call_count == 1
+        assert mf.call_count == 4
