@@ -9,10 +9,6 @@ import numpy as np
 
 from .errors import CalibrationError, CorrelationUndefinedError, ParameterError
 
-#: Lags (months) used when calibration is skipped: rainfall, temperature,
-#: humidity, mobility.
-DEFAULT_LAGS = {"rain": 2, "temp": 3, "humid": 2, "mobility": 1}
-
 #: Longest factor-to-incidence delay searched; the vector life cycle plus
 #: incubation keeps plausible delays well under this.
 DEFAULT_MAX_LAG = 6

@@ -15,7 +15,7 @@ from . import pipeline
 from .config import dump_defaults, load_config
 from .errors import ConfigError, DengueWatchError, UsageError
 from .evaluation import load_calendar, write_calendar
-from .panel import MonthIndex, Variable, write_mobility, write_series
+from .panel import MonthIndex, write_mobility, write_series
 from .risk import Lags
 
 
@@ -63,19 +63,9 @@ def _cmd_synth(cfg: dict, out: Path) -> None:
     )
     panel, calendar = generate(config)
     pipeline.make_out_dir(out)
-    by_variable = {}
-    for (region, variable), s in panel.series.items():
-        by_variable.setdefault(variable, []).append(s)
-    names = {
-        Variable.RAINFALL: "rainfall.csv",
-        Variable.TEMPERATURE: "temperature.csv",
-        Variable.HUMIDITY: "humidity.csv",
-        Variable.INCIDENCE: "incidence.csv",
-        Variable.SUSCEPTIBLE: "susceptible.csv",
-        Variable.POPULATION: "population.csv",
-    }
-    for variable, series_list in by_variable.items():
-        write_series(series_list, out / names[variable])
+    for name, variable in pipeline.INPUT_VARIABLES.items():
+        series = [s for (_, v), s in panel.series.items() if v is variable]
+        write_series(series, out / f"{name}.csv")
     write_mobility(panel.mobility, out / "mobility.csv")
     write_calendar(calendar, out / "outbreaks.csv")
     print(f"wrote synthetic panel ({config.months} months) to {out}")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .errors import ConfigError, IngestionError
 from .panel import MonthIndex
+from .risk import FACTORS
 
 #: Every knob the pipeline honors, with its default. ``null`` means
 #: "derive from the data" (lags, cutoffs, exponents, mobility_c) or
@@ -94,16 +95,13 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-_LAG_NAMES = ("rain", "temp", "humid", "mobility")
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_lags(lags, where: str) -> None:
-    if not isinstance(lags, dict) or set(lags) != set(_LAG_NAMES):
-        raise ConfigError(f"{where} must map exactly {', '.join(_LAG_NAMES)}, got {lags!r}")
+    if not isinstance(lags, dict) or set(lags) != set(FACTORS):
+        raise ConfigError(f"{where} must map exactly {', '.join(FACTORS)}, got {lags!r}")
     for name, v in lags.items():
         if not (_is_int(v) and v >= 0):
             raise ConfigError(f"{where}.{name} must be an integer >= 0, got {v!r}")
@@ -199,10 +197,18 @@ def load_config(path=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    if path.is_dir():
+        raise FileNotFoundError(f"not a file: {path}")
     import yaml  # here, not at the top: a run without a config file never loads it
 
-    with open(path, encoding="utf-8") as fh:
-        loaded = yaml.safe_load(fh)
+    try:
+        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except yaml.MarkedYAMLError as exc:
+        raise ConfigError(f"{path}: line {exc.problem_mark.line + 1}: {exc.problem}") from None
+    except yaml.YAMLError as exc:  # a character YAML rejects, which has no line mark
+        raise ConfigError(f"{path}: {str(exc).splitlines()[0]}") from None
     if loaded is None:
         return cfg
     if not isinstance(loaded, dict):

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IngestionError, ParameterError
-from .panel import MonthIndex, read_csv
+from .panel import MonthIndex, read_csv, write_csv
 
 DEFAULT_MATCH_WINDOW = 1
 
@@ -28,15 +27,6 @@ class EvalResult:
     false_negatives: int
     total_months: int
     error_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "matches": self.matches,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "total_months": self.total_months,
-            "error_rate": self.error_rate,
-        }
 
 
 def score(
@@ -117,8 +107,4 @@ def load_calendar(path) -> OutbreakCalendar:
 
 
 def write_calendar(calendar: OutbreakCalendar, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"])
-        for t in calendar.months:
-            writer.writerow([str(t)])
+    write_csv(path, ["date"], ([str(t)] for t in calendar.months))

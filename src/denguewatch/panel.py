@@ -128,10 +128,6 @@ class MonthlySeries:
         """Last month covered (inclusive)."""
         return self.start + (len(self.values) - 1)
 
-    def to_array(self) -> np.ndarray:
-        """A writable copy of ``values``."""
-        return self.values.copy()
-
     def slice(self, start: MonthIndex, end: MonthIndex) -> "MonthlySeries":
         """The months start..end, a view; the series itself when that is its span."""
         i, j = start - self.start, end - self.start
@@ -216,10 +212,6 @@ class Panel:
             raise MissingSeriesError(region, variable)
         return s
 
-    @property
-    def regions(self) -> tuple:
-        return tuple(sorted({r for (r, _) in self.series}))
-
 
 class MissingSeriesError(IngestionError):
     def __init__(self, region, variable):
@@ -264,6 +256,14 @@ def read_csv(path):
                 yield block
             if fault or not count:
                 raise IngestionError(f"{path}: {fault or 'no data rows'}")
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write an artifact CSV: UTF-8, the ``header`` row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _columns(path, header: list, empty_ok: bool = False):
@@ -387,17 +387,12 @@ def load_series_table(path, variable: Variable) -> dict:
 
 def write_series(series_list, path) -> None:
     """Emit series CSV, header + rows sorted by (region, month)."""
-    if isinstance(series_list, MonthlySeries):
-        series_list = [series_list]
-    rows = []
-    for s in series_list:
-        for i, v in enumerate(s.values.tolist()):
-            rows.append((s.region, str(s.start + i), "" if math.isnan(v) else format(v, ".12g")))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        writer.writerows(rows)
+    rows = [
+        (s.region, str(s.start + i), "" if math.isnan(v) else format(v, ".12g"))
+        for s in series_list
+        for i, v in enumerate(s.values.tolist())
+    ]
+    write_csv(path, SERIES_HEADER, sorted(rows, key=lambda r: r[:2]))
 
 
 def _mobility_row_error(source: str, target: str, weight_text: str) -> str:
@@ -424,13 +419,13 @@ def load_mobility(path) -> MobilityMatrix:
 
 
 def write_mobility(mobility: MobilityMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MOBILITY_HEADER)
-        for i, row in zip(mobility.regions, mobility.weights.tolist()):
-            for j, w in zip(mobility.regions, row):
-                if w != 0.0:
-                    writer.writerow([i, j, format(w, ".12g")])
+    rows = (
+        (i, j, format(w, ".12g"))
+        for i, row in zip(mobility.regions, mobility.weights.tolist())
+        for j, w in zip(mobility.regions, row)
+        if w != 0.0
+    )
+    write_csv(path, MOBILITY_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ bytes are deterministic for identical inputs and configuration.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -34,8 +33,10 @@ from .panel import (
     align,
     load_mobility,
     load_series_table,
+    write_csv,
 )
 from .risk import (
+    FACTORS,
     Lags,
     MembershipFunctions,
     RiskParams,
@@ -47,7 +48,9 @@ from .risk import (
 )
 from .svgplot import objective_scatter_svg
 
-_INPUT_VARIABLES = {
+#: Each series input: its ``inputs`` config key, which is also the stem of the
+#: file ``synth`` writes for it, and the variable it holds.
+INPUT_VARIABLES = {
     "rainfall": Variable.RAINFALL,
     "temperature": Variable.TEMPERATURE,
     "humidity": Variable.HUMIDITY,
@@ -61,7 +64,7 @@ def load_panel(cfg: dict) -> Panel:
     """Read every configured input CSV and align the result."""
     inputs = cfg["inputs"]
     series = {}
-    for name, variable in _INPUT_VARIABLES.items():
+    for name, variable in INPUT_VARIABLES.items():
         path = inputs.get(name)
         if path is None:
             raise ConfigError(f"inputs.{name} is not set")
@@ -92,18 +95,9 @@ class Calibration:
 
     def to_dict(self) -> dict:
         return {
-            "lags": {
-                "rain": self.lags.rain,
-                "temp": self.lags.temp,
-                "humid": self.lags.humid,
-                "mobility": self.lags.mobility,
-            },
+            "lags": asdict(self.lags),
             "correlations": dict(self.correlations),
-            "rainfall_cutoffs": {
-                "r_min": self.cutoffs.r_min,
-                "r_max": self.cutoffs.r_max,
-                "correlation": self.cutoffs.correlation,
-            },
+            "rainfall_cutoffs": asdict(self.cutoffs),
             "exponents": list(self.exponents),
             "mobility_c": self.mobility_c,
         }
@@ -120,7 +114,7 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         Variable.HUMIDITY,
     )
     incidence = cols.infected
-    factors = {"rain": cols.rain, "temp": cols.temp, "humid": cols.humid, "mobility": cols.mobility}
+    factors = {name: getattr(cols, name) for name in FACTORS}
 
     correlations = {}
     if ccfg["lags"] is not None:
@@ -216,20 +210,22 @@ def run_baseline(panel: Panel, cfg: dict, calibration: Calibration):
 
 def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
     """Each named prediction scored against the ``actual`` calendar, over the
-    configured span, or else from the first to the last of ``months`` and the
-    actual months."""
+    configured span. A bound left null is inferred: the first or the last of
+    ``months`` and the actual months."""
     ecfg = cfg["evaluation"]
-    if ecfg["span_start"] is not None and ecfg["span_end"] is not None:
-        span = MonthIndex.parse(ecfg["span_start"]), MonthIndex.parse(ecfg["span_end"])
-    else:
-        every = [*months, *actual.months]
-        if not every:
+    every = [*months, *actual.months]
+    span = []
+    for key, infer in (("span_start", min), ("span_end", max)):
+        if ecfg[key] is not None:
+            span.append(MonthIndex.parse(ecfg[key]))
+        elif every:
+            span.append(infer(every))
+        else:
             raise PipelineError("cannot infer an evaluation span from empty month sets")
-        span = min(every), max(every)
     window = ecfg["match_window"]
     payload = {"span": {"start": str(span[0]), "end": str(span[1])}, "match_window": window}
     for name, months_predicted in predicted.items():
-        payload[name] = score(months_predicted, actual, span, window).to_dict()
+        payload[name] = asdict(score(months_predicted, actual, span, window))
     return payload
 
 
@@ -243,30 +239,19 @@ def _g(x: float) -> str:
 
 
 def write_risk_csv(series: RiskSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "R", "L", "d1", "d2"])
-        for m in series.months:
-            writer.writerow([str(m.t), _g(m.R), _g(m.L), _g(m.d1), _g(m.d2)])
+    rows = ([str(m.t), _g(m.R), _g(m.L), _g(m.d1), _g(m.d2)] for m in series.months)
+    write_csv(path, ["date", "R", "L", "d1", "d2"], rows)
 
 
 def write_flagged_csv(flagged, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "d1", "d2", "rank", "flag", "reliability"])
-        for f in flagged:
-            writer.writerow(
-                [str(f.t), _g(f.d1), _g(f.d2), f.rank, f.flag, _g(f.reliability)]
-            )
+    rows = ([str(f.t), _g(f.d1), _g(f.d2), f.rank, f.flag, _g(f.reliability)] for f in flagged)
+    write_csv(path, ["date", "d1", "d2", "rank", "flag", "reliability"], rows)
 
 
 def write_baseline_csv(months, fitted, predicted, path) -> None:
     predicted = set(predicted)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "D_fitted", "predicted_flag"])
-        for t, d in zip(months, fitted):
-            writer.writerow([str(t), _g(d), int(t in predicted)])
+    rows = ([str(t), _g(d), int(t in predicted)] for t, d in zip(months, fitted))
+    write_csv(path, ["date", "D_fitted", "predicted_flag"], rows)
 
 
 def _write_json(payload: dict, path) -> None:

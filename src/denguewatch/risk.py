@@ -31,10 +31,15 @@ class Lags:
     mobility: int = 1
 
     def __post_init__(self):
-        for name in ("rain", "temp", "humid", "mobility"):
+        for name in FACTORS:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 0):
                 raise ParameterError(f"lag {name} must be an integer >= 0, got {v!r}")
+
+
+#: The model's factors, in the order R multiplies them. Each names a field of
+#: :class:`Lags`, :class:`MembershipFunctions` and :class:`TargetColumns`.
+FACTORS = tuple(f.name for f in fields(Lags))
 
 
 @dataclass(frozen=True)
@@ -214,10 +219,8 @@ def objective_space(
         )
     ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
     r = 1.0
-    for mf, column, c in zip(
-        (mfs.rain, mfs.temp, mfs.humid, mfs.mobility), inputs, params.exponents
-    ):
-        r = r * np.array([m**c for m in mf.evaluate(column[ok]).tolist()])
+    for name, column, c in zip(FACTORS, inputs, params.exponents):
+        r = r * np.array([m**c for m in getattr(mfs, name).evaluate(column[ok]).tolist()])
     r = np.clip(r, 0.0, 1.0)
     l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
         infected[ok] / i_peak, 0.0, 1.0

@@ -15,7 +15,7 @@ bit-identical across platforms for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
 from .evaluation import OutbreakCalendar
@@ -106,8 +106,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.months < 24:
             raise ConfigError(f"months must be >= 24, got {self.months}")
-        lags = self.planted_lags
-        if max(lags.rain, lags.temp, lags.humid, lags.mobility) > 6:
+        if max(astuple(self.planted_lags)) > 6:
             raise ConfigError("planted lags must be <= 6 months")
         if not (0 <= self.rain_band[0] < self.rain_band[1]):
             raise ConfigError(f"invalid rain band {self.rain_band}")
@@ -119,12 +118,7 @@ class SynthConfig:
             offsets = tuple(sorted(t - self.start for t in self.outbreak_months))
         else:
             offsets = default_outbreak_offsets(self.months)
-        max_lag = max(
-            self.planted_lags.rain,
-            self.planted_lags.temp,
-            self.planted_lags.humid,
-            self.planted_lags.mobility,
-        )
+        max_lag = max(astuple(self.planted_lags))
         for o in offsets:
             if o < max_lag + 2:
                 raise ConfigError(
@@ -204,26 +198,20 @@ def generate(config: SynthConfig):
         sus.append(sus_i)
 
     start = config.start
-
-    def series(region, variable, values):
-        return MonthlySeries(region, variable, start, values)
-
+    columns = (
+        (TARGET_REGION, Variable.RAINFALL, rain),
+        (TARGET_REGION, Variable.TEMPERATURE, temp),
+        (TARGET_REGION, Variable.HUMIDITY, humid),
+        (TARGET_REGION, Variable.INCIDENCE, inc),
+        (TARGET_REGION, Variable.SUSCEPTIBLE, sus),
+        (TARGET_REGION, Variable.POPULATION, [TARGET_POPULATION] * n),
+        (NEIGHBOR_REGION, Variable.INCIDENCE, inc_nb),
+        (NEIGHBOR_REGION, Variable.POPULATION, [NEIGHBOR_POPULATION] * n),
+    )
     panel = Panel(
         series={
-            (TARGET_REGION, Variable.RAINFALL): series(TARGET_REGION, Variable.RAINFALL, rain),
-            (TARGET_REGION, Variable.TEMPERATURE): series(TARGET_REGION, Variable.TEMPERATURE, temp),
-            (TARGET_REGION, Variable.HUMIDITY): series(TARGET_REGION, Variable.HUMIDITY, humid),
-            (TARGET_REGION, Variable.INCIDENCE): series(TARGET_REGION, Variable.INCIDENCE, inc),
-            (TARGET_REGION, Variable.SUSCEPTIBLE): series(TARGET_REGION, Variable.SUSCEPTIBLE, sus),
-            (TARGET_REGION, Variable.POPULATION): series(
-                TARGET_REGION, Variable.POPULATION, [TARGET_POPULATION] * n
-            ),
-            (NEIGHBOR_REGION, Variable.INCIDENCE): series(
-                NEIGHBOR_REGION, Variable.INCIDENCE, inc_nb
-            ),
-            (NEIGHBOR_REGION, Variable.POPULATION): series(
-                NEIGHBOR_REGION, Variable.POPULATION, [NEIGHBOR_POPULATION] * n
-            ),
+            (region, variable): MonthlySeries(region, variable, start, values)
+            for region, variable, values in columns
         },
         mobility=MobilityMatrix.from_pairs({(TARGET_REGION, NEIGHBOR_REGION): 1.0}),
     )

@@ -87,9 +87,9 @@ def test_criterion_3_planted_lag_recovery():
     }
 
     def recovered(panel, planted):
-        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).to_array()
+        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).values
         for name, key in factor_vars.items():
-            if best_lag(panel.get(*key).to_array(), inc).lag_months != getattr(planted, name):
+            if best_lag(panel.get(*key).values, inc).lag_months != getattr(planted, name):
                 return False
         return True
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from denguewatch import calibrate
 from denguewatch.calibrate import (
     CORRELATION_FLOOR,
-    DEFAULT_LAGS,
     DEFAULT_MAX_LAG,
     CutoffResult,
     LagResult,
@@ -25,6 +25,7 @@ from denguewatch.errors import (
     CorrelationUndefinedError,
     ParameterError,
 )
+from denguewatch.risk import Lags
 from denguewatch.synth import SplitMix64
 
 from reference import reference_pearson
@@ -207,7 +208,7 @@ class TestPearson:
 
 class TestBestLag:
     def test_defaults_constant(self):
-        assert DEFAULT_LAGS == {"rain": 2, "temp": 3, "humid": 2, "mobility": 1}
+        assert asdict(Lags()) == {"rain": 2, "temp": 3, "humid": 2, "mobility": 1}
 
     def test_zero_lag_identity(self):
         rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,30 @@ class TestBasics:
         code, _, err = run(capsys, "--config", str(p), "detect")
         assert code == 2
         assert "config" in err and "tyop" in err
+
+    def test_config_directory_is_not_a_file(self, tmp_path, capsys):
+        code, _, err = run(capsys, "--config", str(tmp_path), "calibrate")
+        assert (code, err) == (2, f"error: not a file: {tmp_path}\n")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(b"region: W\xff\n")
+        code, _, err = run(capsys, "--config", str(p), "calibrate")
+        assert (code, err) == (2, f"error: config: {p}: not UTF-8 text (invalid start byte)\n")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("region: WP\ninputs: [unclosed\n",
+             "line 3: expected ',' or ']', but got '<stream end>'"),
+            ("region: W\x07P\n", "unacceptable character #x0007: special characters are not allowed"),
+        ],
+    )
+    def test_config_not_yaml(self, tmp_path, capsys, text, problem):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        code, _, err = run(capsys, "--config", str(p), "calibrate")
+        assert (code, err) == (2, f"error: config: {p}: {problem}\n")
 
     def test_missing_input_file_names_path(self, workspace, capsys):
         tmp_path, data, cfg_path = workspace
@@ -230,6 +255,70 @@ class TestCalibrate:
         )
 
 
+# sha256 of every file that synth, report and evaluate write on the
+# quick-start panel, noiseless and at noise_scale 0.05 (seed 3). A change to
+# the bytes any writer emits (line endings, number format, key order) fails.
+_SHARED_SHA256 = {
+    "data/mobility.csv": "42a8af2ee61cd25c3f9b80b3476222cc252163beea55dadeae2f4d74d4a1c6b9",
+    "data/outbreaks.csv": "e8956181e6c628beee8c7bfb6143c8b27bbcedf2146cd8d09a4d3a45c417b655",
+    "data/population.csv": "2901a39158d9fe97c5ff826e573a3dce5fa228f31563d733b709c9b85c4b9107",
+    "data/susceptible.csv": "4953798d5ffb83bb0cf0a81a032a7f3f6a61b1cf7f36874ff6f0ebf731ad5dff",
+}
+ARTIFACT_SHA256 = {
+    0.0: {
+        **_SHARED_SHA256,
+        "data/humidity.csv": "0f3dfa96aa4aaa1fde9443becc4b51d2720ad4fd3baf50e2178c19eef6e9a58c",
+        "data/incidence.csv": "8dce6e329f7ac8e58d3239452efcd8b8a1fe38445118d5049d567cd6e77cf3fd",
+        "data/rainfall.csv": "6ef2ba35de4be68cb37f311dae0aea3abb5f1891f0e3d2eb822663e2d22ddd51",
+        "data/temperature.csv": "89bd4f2169e77a0fb98eb43081ee1df48e2f8eb7749c58016c067afea87269d7",
+        "report/baseline.csv": "7092492250285c63c27c01d77565bb3d347299f57178e5474eae61a3ea7e5ddf",
+        "report/calibration.json": "ffccced601e122ab3a08b0fce30e07f246d45f22823acff747cd07443ce93149",
+        "report/evaluation.json": "ddd9b24c3d3fddec1f9f56dc1b527ec4c0f5bbb2c4ce9cd1acc58a26eb48383b",
+        "report/flagged.csv": "82da1dd0e1ff50f51fd52df6279d025ad3f3872880712003be946d7372fa4085",
+        "report/objective_space.svg": "20e6d6475ecd8de6c65214eab25e601e5359c89e4c0b7db93309893d840cb69b",
+        "report/risk.csv": "a9c7ff59730ffab0d01469eb0d5709abdfac8d91d48aa09b79463be3f555fced",
+        "evaluate/evaluation.json": "c3a8d6946cff3f9566c7bea36418101ffac8d69b88222d5c41e59e253eb77bed",
+    },
+    0.05: {
+        **_SHARED_SHA256,
+        "data/humidity.csv": "abe2098cee314bf7ec022432ca476393502bc92846e5a2efc388f390de9f18b7",
+        "data/incidence.csv": "7a8abc871d3e831d668a603c9ed4cb5eb33880577a7a8ce198adb31aa6a75655",
+        "data/rainfall.csv": "c095713a0438b4f798b3778c4c257a3cc6b63e4b29899a548ead46276d785cd0",
+        "data/temperature.csv": "02c767d352d8dae4acff920a2de086f720dd275bd595a8a07aea5540ead30405",
+        "report/baseline.csv": "335d77d8ddb55d339820033af04d935230ae54884aa6b71caf58d0e748da02af",
+        "report/calibration.json": "4e5220352629d1a26cdca569fc1047445dcf9a425344ad66dc01a6ea6e48a3bd",
+        "report/evaluation.json": "d898bc4a45ed5b7737b136b6df2be3dc9ab171c837afd484e3673f869a0a63ff",
+        "report/flagged.csv": "ffbd530cc82a3f6b2ea13d9f80d6d3692c0a18a41f0f6141f200c9e03d2fdd90",
+        "report/objective_space.svg": "a63c858713d7b7f31587284c7a88b7b93d7c921114abcb162738c316bc213da2",
+        "report/risk.csv": "d24a98374083c25d388847515d71b8e06e3466ebac991246b24fddfcaa4e6def",
+        "evaluate/evaluation.json": "d669f0a953a99f80accf114e73e50e1f83fdbce93d49546341fc229ec45be638",
+    },
+}
+
+
+@pytest.mark.parametrize("noise_scale", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes_are_pinned(tmp_path, capsys, noise_scale):
+    data = tmp_path / "data"
+    synth_cfg = tmp_path / "synth.yaml"
+    synth_cfg.write_text(yaml.safe_dump({"synth": {"noise_scale": noise_scale, "seed": 3}}))
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(synth_config(data)))
+    for argv in (
+        ["--config", str(synth_cfg), "synth", "--out", str(data)],
+        ["--config", str(cfg_path), "report", "--out", str(tmp_path / "report")],
+        ["--config", str(cfg_path), "evaluate", "--out", str(tmp_path / "evaluate"),
+         "--predictions", str(tmp_path / "report" / "flagged.csv"),
+         "--actual", str(data / "outbreaks.csv")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.glob("*/*")
+    }
+    assert digests == ARTIFACT_SHA256[noise_scale]
+
+
 class TestSynth:
     def test_writes_expected_artifacts(self, workspace):
         _, data, _ = workspace
@@ -301,6 +390,28 @@ class TestEvaluate:
         result = json.loads(out.strip().splitlines()[-1])
         assert result["error_rate"] == 0.0
         assert result["false_positives"] == 0
+
+    @pytest.mark.parametrize(
+        "bound, span, total",
+        [
+            ({"span_start": "2011-06"}, {"start": "2011-06", "end": "2018-06"}, 85),
+            ({"span_end": "2020-06"}, {"start": "2012-11", "end": "2020-06"}, 92),
+        ],
+    )
+    def test_a_single_span_bound_is_used(self, workspace, capsys, bound, span, total):
+        # The planted months run 2012-11..2018-06; only the null bound is inferred.
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "span.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, evaluation=bound)))
+        out = tmp_path / "ev"
+        code, _, err = run(
+            capsys, "--config", str(cfg_path), "evaluate", "--out", str(out),
+            "--predictions", str(data / "outbreaks.csv"), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert code == 0, err
+        payload = json.loads((out / "evaluation.json").read_text())
+        assert payload["span"] == span
+        assert payload["result"]["total_months"] == total
 
 
 class TestReport:

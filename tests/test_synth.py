@@ -114,10 +114,10 @@ class TestGenerate:
     def test_noiseless_lag_recovery(self):
         lags = Lags(2, 3, 2, 1)
         panel, _ = generate(SynthConfig(planted_lags=lags))
-        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).to_array()
+        inc = panel.get(TARGET_REGION, Variable.INCIDENCE).values
 
         def lag_of(region, variable):
-            return best_lag(panel.get(region, variable).to_array(), inc).lag_months
+            return best_lag(panel.get(region, variable).values, inc).lag_months
 
         found = {
             "rain": lag_of(TARGET_REGION, Variable.RAINFALL),
@@ -130,8 +130,8 @@ class TestGenerate:
     def test_rain_band_interior_to_recovered_cutoffs(self):
         panel, _ = generate(SynthConfig())
         result = rainfall_cutoffs(
-            panel.get(TARGET_REGION, Variable.RAINFALL).to_array(),
-            panel.get(TARGET_REGION, Variable.INCIDENCE).to_array(),
+            panel.get(TARGET_REGION, Variable.RAINFALL).values,
+            panel.get(TARGET_REGION, Variable.INCIDENCE).values,
             lag=2,
         )
         # the pulse plants all outbreak-lagged rain at the band center
