@@ -241,11 +241,12 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     lo, hi = float(present.min()), float(present.max())
     if lo == hi:
         raise CalibrationError("rainfall series is constant; cutoffs undefined")
-    first, last = np.ceil(lo / grid_step), np.floor(hi / grid_step)
-    points = last - first + 1  # a float, as int() of an overflowed bound would raise
+    first, last = float(np.ceil(lo / grid_step)), float(np.floor(hi / grid_step))
+    # A float, as int() of an overflowed bound would raise; inf once one has.
+    points = math.inf if math.isinf(first) or math.isinf(last) else last - first + 1
     if not points <= _MAX_GRID_POINTS:
         raise CalibrationError(
-            f"calibration.grid_step {grid_step} is too fine: {points:.0f} grid points "
+            f"calibration.grid_step {grid_step} is too fine: {points:.16g} grid points "
             f"in [{lo}, {hi}], at most {_MAX_GRID_POINTS} are searched"
         )
     grid = [k * grid_step for k in range(int(first), int(last) + 1)]

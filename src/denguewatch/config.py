@@ -3,116 +3,42 @@
 from __future__ import annotations
 
 import math
+import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, IngestionError
 from .panel import MonthIndex
 from .risk import FACTORS
 
-#: Every knob the pipeline honors, with its default. ``null`` means
-#: "derive from the data" (lags, cutoffs, exponents, mobility_c) or
-#: "use the built-in membership shape".
-DEFAULT_CONFIG = {
-    "region": "WP",
-    "inputs": {
-        "rainfall": None,
-        "temperature": None,
-        "humidity": None,
-        "incidence": None,
-        "susceptible": None,
-        "population": None,
-        "mobility": None,
-        "actual_outbreaks": None,
-    },
-    "membership": {
-        "temperature": None,  # list of [x, y] breakpoints overrides the default
-        "humidity": None,
-        "rainfall_shoulder": 0.25,
-    },
-    "calibration": {
-        "max_lag": 6,
-        "grid_step": 10.0,
-        "lags": None,  # {rain, temp, humid, mobility} skips the lag search
-        "rainfall_cutoffs": None,  # [r_min, r_max] skips the grid search
-        "exponents": None,  # [c1, c2, c3, c4] skips estimation
-    },
-    "risk": {
-        "r_ideal": 1.0,
-        "l_ideal": 1.0,
-        "mobility_c": None,  # null = max observed mobility risk
-    },
-    "detection": {
-        "rank_threshold": 2,
-    },
-    "baseline": {
-        "threshold_quantile": 0.85,
-    },
-    "evaluation": {
-        "match_window": 1,
-        "span_start": None,  # YYYY-MM; null = infer from the data
-        "span_end": None,
-    },
-    "synth": {
-        "months": 96,
-        "seed": 20180401,
-        "start": "2012-01",
-        "lags": {"rain": 2, "temp": 3, "humid": 2, "mobility": 1},
-        "rain_band": [150.0, 350.0],
-        "outbreak_months": None,  # list of YYYY-MM; null = built-in spacing
-        "noise_scale": 0.0,
-    },
-}
+
+def _shown(value) -> str:
+    """``repr(value)``, cut short so that an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:36]} ..."
 
 
-def default_config() -> dict:
-    return _copy(DEFAULT_CONFIG)
-
-
-def _copy(value):
-    """A fresh copy of a tree of dicts, lists and scalars such as the
-    defaults, without the bookkeeping of ``copy.deepcopy``."""
-    if isinstance(value, dict):
-        return {k: _copy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copy(v) for v in value]
-    return value
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and key != "lags":
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here} must be a mapping")
-            out[key] = _merge(base[key], value, here)
-        else:
-            out[key] = value
-    return out
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_lags(lags, where: str) -> None:
-    if not isinstance(lags, dict) or set(lags) != set(FACTORS):
-        raise ConfigError(f"{where} must map exactly {', '.join(FACTORS)}, got {lags!r}")
-    for name, v in lags.items():
-        if not (_is_int(v) and v >= 0):
-            raise ConfigError(f"{where}.{name} must be an integer >= 0, got {v!r}")
-
-
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A float, or an int within the float range."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _is_numbers(v, size=None) -> bool:
     return isinstance(v, list) and size in (None, len(v)) and all(map(_is_number, v))
+
+
+def _is_exponents(v) -> bool:
+    if _is_numbers(v) and len(v) != 4:
+        raise ConfigError("calibration.exponents needs exactly 4 values")
+    return _is_numbers(v)
 
 
 def _is_breakpoints(v) -> bool:
@@ -129,71 +55,122 @@ def _is_month(v) -> bool:
     return True
 
 
-# (key, test, what it must be): types and shapes only, the run checks ranges.
-# A key whose default is null may also be null.
-_TYPES = (
-    ("region", lambda v: isinstance(v, str), "a region name"),
-    ("membership.temperature", _is_breakpoints, "a list of [x, y] number pairs"),
-    ("membership.humidity", _is_breakpoints, "a list of [x, y] number pairs"),
-    ("membership.rainfall_shoulder", _is_number, "a number"),
-    ("calibration.rainfall_cutoffs", lambda v: _is_numbers(v, 2), "a list of 2 numbers"),
-    ("calibration.exponents", _is_numbers, "a list of numbers"),
-    ("risk.r_ideal", _is_number, "a number"),
-    ("risk.l_ideal", _is_number, "a number"),
-    ("risk.mobility_c", _is_number, "a number"),
-    ("detection.rank_threshold", _is_int, "an integer"),
-    ("baseline.threshold_quantile", _is_number, "a number"),
-    ("evaluation.match_window", _is_int, "an integer"),
-    ("evaluation.span_start", _is_month, "a YYYY-MM month"),
-    ("evaluation.span_end", _is_month, "a YYYY-MM month"),
-    *((f"inputs.{name}", lambda v: isinstance(v, str), "a file path")
-      for name in DEFAULT_CONFIG["inputs"]),
-    ("synth.months", _is_int, "an integer"),
-    ("synth.seed", _is_int, "an integer"),
-    ("synth.start", _is_month, "a YYYY-MM month"),
-    ("synth.rain_band", lambda v: _is_numbers(v, 2), "a list of 2 numbers"),
-    ("synth.outbreak_months", lambda v: isinstance(v, list) and all(map(_is_month, v)),
-     "a list of YYYY-MM months"),
-    ("synth.noise_scale", _is_number, "a number"),
-)
+def _check_lags(lags, where: str) -> bool:
+    if not isinstance(lags, dict) or set(lags) != set(FACTORS):
+        raise ConfigError(f"{where} must map exactly {', '.join(FACTORS)}, got {_shown(lags)}")
+    for name, v in lags.items():
+        if not (_is_int(v) and v >= 0):
+            raise ConfigError(f"{where}.{name} must be an integer >= 0, got {_shown(v)}")
+    return True
 
 
-def _at(cfg: dict, key: str):
-    for part in key.split("."):
-        cfg = cfg[part]
-    return cfg
+#: Every knob the pipeline honors, one row per key: its default, the test a
+#: value must pass, and what the error says the value must be. A dict is a
+#: section. A null default means "derive from the data" (lags, cutoffs,
+#: exponents, mobility_c) or "use the built-in membership shape", and such a
+#: key may also be null. The tests check types and shapes, the run checks
+#: ranges; a test that can name the part at fault raises its own error.
+_KEYS = {
+    "region": ("WP", _is_str, "a region name"),
+    "inputs": {
+        name: (None, _is_str, "a file path")
+        for name in ("rainfall", "temperature", "humidity", "incidence", "susceptible",
+                     "population", "mobility", "actual_outbreaks")
+    },
+    "membership": {
+        # a list of [x, y] breakpoints overrides the default shape
+        "temperature": (None, _is_breakpoints, "a list of [x, y] number pairs"),
+        "humidity": (None, _is_breakpoints, "a list of [x, y] number pairs"),
+        "rainfall_shoulder": (0.25, _is_number, "a number"),
+    },
+    "calibration": {
+        "max_lag": (6, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+        "grid_step": (10.0, lambda v: _is_number(v) and math.isfinite(v) and v > 0,
+                      "a number > 0"),
+        # {rain, temp, humid, mobility} skips the lag search
+        "lags": (None, partial(_check_lags, where="calibration.lags"), None),
+        # [r_min, r_max] skips the grid search
+        "rainfall_cutoffs": (None, partial(_is_numbers, size=2), "a list of 2 numbers"),
+        "exponents": (None, _is_exponents, "a list of numbers"),  # skips estimation
+    },
+    "risk": {
+        "r_ideal": (1.0, _is_number, "a number"),
+        "l_ideal": (1.0, _is_number, "a number"),
+        "mobility_c": (None, _is_number, "a number"),  # null = max observed mobility risk
+    },
+    "detection": {"rank_threshold": (2, _is_int, "an integer")},
+    "baseline": {"threshold_quantile": (0.85, _is_number, "a number")},
+    "evaluation": {
+        "match_window": (1, _is_int, "an integer"),
+        "span_start": (None, _is_month, "a YYYY-MM month"),  # null = infer from the data
+        "span_end": (None, _is_month, "a YYYY-MM month"),
+    },
+    "synth": {
+        "months": (96, _is_int, "an integer"),
+        "seed": (20180401, _is_int, "an integer"),
+        "start": ("2012-01", _is_month, "a YYYY-MM month"),
+        "lags": ({"rain": 2, "temp": 3, "humid": 2, "mobility": 1},
+                 partial(_check_lags, where="synth.lags"), None),
+        "rain_band": ([150.0, 350.0], partial(_is_numbers, size=2), "a list of 2 numbers"),
+        # null = built-in spacing
+        "outbreak_months": (None, lambda v: isinstance(v, list) and all(map(_is_month, v)),
+                            "a list of YYYY-MM months"),
+        "noise_scale": (0.0, _is_number, "a number"),
+    },
+}
 
 
-def _validate(cfg: dict) -> dict:
-    """Reject config values of the wrong type or shape, and calibration and
-    synth values out of range."""
-    for key, ok, expected in _TYPES:
-        value = _at(cfg, key)
-        if _at(DEFAULT_CONFIG, key) is None:
-            if value is None:
-                continue
-            expected = f"null or {expected}"
-        if not ok(value):
-            raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    ccfg = cfg["calibration"]
-    if ccfg["exponents"] is not None and len(ccfg["exponents"]) != 4:
-        raise ConfigError("calibration.exponents needs exactly 4 values")
-    max_lag, step = ccfg["max_lag"], ccfg["grid_step"]
-    if not (_is_int(max_lag) and max_lag >= 0):
-        raise ConfigError(f"calibration.max_lag must be an integer >= 0, got {max_lag!r}")
-    if not (_is_number(step) and math.isfinite(step) and step > 0):
-        raise ConfigError(f"calibration.grid_step must be a number > 0, got {step!r}")
-    if ccfg["lags"] is not None:
-        _check_lags(ccfg["lags"], "calibration.lags")
-    _check_lags(cfg["synth"]["lags"], "synth.lags")
-    return cfg
+def _resolve(table: dict, loaded: dict, path: str = "") -> dict:
+    """``loaded`` merged over the defaults of ``table`` and checked in table
+    order, the order ``--print-defaults`` prints, so the first bad key is the
+    one named; a section's unknown keys come before its values."""
+    for key in loaded:
+        if key not in table:
+            raise ConfigError(f"unknown config key: {path}{key}")
+    out = {}
+    for key, row in table.items():
+        here = f"{path}{key}"
+        if isinstance(row, dict):  # a section: null or left out keeps its defaults
+            section = loaded.get(key)
+            if not isinstance(section, (dict, type(None))):
+                raise ConfigError(f"config key {here} must be a mapping")
+            out[key] = _resolve(row, section or {}, f"{here}.")
+            continue
+        default, test, words = row
+        value = loaded.get(key, default)
+        if not ((value is None and default is None) or test(value)):
+            null = "null or " if default is None else ""
+            raise ConfigError(f"{here} must be {null}{words}, got {_shown(value)}")
+        out[key] = _copy(value)
+    return out
+
+
+def _defaults(table: dict) -> dict:
+    return {k: _defaults(row) if isinstance(row, dict) else row[0] for k, row in table.items()}
+
+
+#: The default of every key, as ``--print-defaults`` prints them.
+DEFAULT_CONFIG = _defaults(_KEYS)
+
+
+def default_config() -> dict:
+    return _copy(DEFAULT_CONFIG)
+
+
+def _copy(value):
+    """A fresh copy of a tree of dicts, lists and scalars such as the
+    defaults, without the bookkeeping of ``copy.deepcopy``."""
+    if isinstance(value, dict):
+        return {k: _copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
 
 
 def load_config(path=None) -> dict:
     """Defaults merged with the YAML file at ``path`` (if any)."""
-    cfg = default_config()
     if path is None:
-        return cfg
+        return default_config()
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -203,17 +180,17 @@ def load_config(path=None) -> dict:
 
     try:
         loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so ahead of that clause
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except yaml.MarkedYAMLError as exc:
         raise ConfigError(f"{path}: line {exc.problem_mark.line + 1}: {exc.problem}") from None
     except yaml.YAMLError as exc:  # a character YAML rejects, which has no line mark
         raise ConfigError(f"{path}: {str(exc).splitlines()[0]}") from None
-    if loaded is None:
-        return cfg
-    if not isinstance(loaded, dict):
+    except ValueError as exc:  # a tag whose value does not convert, as in !!int x
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(loaded, (dict, type(None))):  # None: an empty file
         raise ConfigError(f"{path}: top level must be a mapping")
-    return _validate(_merge(cfg, loaded))
+    return _resolve(_KEYS, loaded or {})
 
 
 def dump_defaults() -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
-from .errors import ConfigError, CorrelationUndefinedError, PipelineError, UsageError
+from .errors import ConfigError, CorrelationUndefinedError, ParameterError, PipelineError, UsageError
 from .evaluation import load_calendar, score
 from .fuzzy import (
     PiecewiseLinearMF,
@@ -90,8 +90,8 @@ class Calibration:
     cutoffs: cal.CutoffResult
     exponents: tuple
     mobility_c: float
-    # The membership functions the exponents were estimated with, if any.
-    membership: MembershipFunctions | None = field(default=None, compare=False, repr=False)
+    # The membership functions the calibrated values define.
+    membership: MembershipFunctions = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +132,10 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
+        try:  # the membership function's own range check, before any correlation
+            rainfall_mf_from_cutoffs(r_min, r_max)
+        except ParameterError as exc:
+            raise ParameterError(f"calibration.rainfall_cutoffs: {exc}") from None
         band = cal.band_indicator(factors["rain"], r_min, r_max)
         r = cal.pearson(*cal.lagged_pair(band, incidence, lags.rain))
         cutoffs = cal.CutoffResult(r_min, r_max, r)
@@ -145,11 +149,10 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         mobility_c = default_mobility_c(factors["mobility"], region)
     mobility_c = float(mobility_c)
 
-    mfs = None
+    mfs = membership_functions(cfg, cutoffs, mobility_c)
     if ccfg["exponents"] is not None:
         exponents = tuple(float(c) for c in ccfg["exponents"])
     else:
-        mfs = membership_functions(cfg, cutoffs, mobility_c)
         member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]
         exponents = cal.estimate_exponents(member, incidence, max_lag)
 
@@ -188,11 +191,8 @@ def risk_params(cfg: dict, calibration: Calibration) -> RiskParams:
 def detect(panel: Panel, cfg: dict, calibration: Calibration):
     """Objective space plus flagged months for the target region."""
     region = cfg["region"]
-    mfs = calibration.membership or membership_functions(
-        cfg, calibration.cutoffs, calibration.mobility_c
-    )
     params = risk_params(cfg, calibration)
-    series = objective_space(panel, mfs, params, region)
+    series = objective_space(panel, calibration.membership, params, region)
     flagged = pareto.detect_outbreaks(series, cfg["detection"]["rank_threshold"])
     return series, flagged
 

@@ -225,8 +225,9 @@ def objective_space(
     l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
         infected[ok] / i_peak, 0.0, 1.0
     )
-    d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
-    d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # an ideal near 5e-324 overflows to inf: d = 0
+        d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
+        d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
     first = start.ordinal
     t = [MonthIndex.from_ordinal(first + k) for k in np.flatnonzero(ok).tolist()]
     months = tuple(map(RiskMonth, t, r.tolist(), l.tolist(), d1.tolist(), d2.tolist()))

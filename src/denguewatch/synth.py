@@ -106,6 +106,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.months < 24:
             raise ConfigError(f"months must be >= 24, got {self.months}")
+        room = MonthIndex(9999, 12) - self.start + 1  # the last month a date can name
+        if self.months > room:
+            raise ConfigError(f"months must be <= {room} from {self.start}, to end by 9999-12")
         if max(astuple(self.planted_lags)) > 6:
             raise ConfigError("planted lags must be <= 6 months")
         if not (0 <= self.rain_band[0] < self.rain_band[1]):

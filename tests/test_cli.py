@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from denguewatch.cli import main
-from denguewatch.config import load_config
+from denguewatch.config import default_config, load_config
 
 
 def run(capsys, *argv):
@@ -84,6 +84,8 @@ class TestBasics:
             ("region: WP\ninputs: [unclosed\n",
              "line 3: expected ',' or ']', but got '<stream end>'"),
             ("region: W\x07P\n", "unacceptable character #x0007: special characters are not allowed"),
+            ("calibration: {max_lag: !!int x}\n", "invalid literal for int() with base 10: 'x'"),
+            ("synth: {start: !!timestamp 2012-13-01}\n", "month must be in 1..12"),
         ],
     )
     def test_config_not_yaml(self, tmp_path, capsys, text, problem):
@@ -159,11 +161,35 @@ class TestConfigValidation:
             ("synth: {rain_band: [a, b]}",
              "synth.rain_band must be a list of 2 numbers, got ['a', 'b']"),
             ("inputs: {rainfall: 5}", "inputs.rainfall must be null or a file path, got 5"),
+            ("calibration: 5", "config key calibration must be a mapping"),
+            # an int float() cannot take is not a number; a long value is cut short
+            ("risk: {r_ideal: 1" + "0" * 400 + "}",
+             "risk.r_ideal must be a number, got 100000000000000000000000000000000000 ..."),
+            ("region: [" + "WP, " * 20 + "]",
+             "region must be a region name, got ['WP', 'WP', 'WP', 'WP', 'WP', 'WP', ..."),
+            # several bad keys: the first in --print-defaults order is named
+            ("{synth: {months: x}, region: [WP]}", "region must be a region name, got ['WP']"),
+            ("calibration: {exponents: [1], max_lag: x}",
+             "calibration.max_lag must be an integer >= 0, got 'x'"),
+            ("calibration: {lags: {rain: -1, temp: 0, humid: 0, mobility: 0}}",
+             "calibration.lags.rain must be an integer >= 0, got -1"),
         ],
     )
     def test_wrong_type_or_shape(self, tmp_path, capsys, text, message):
         err = self._run(tmp_path, capsys, text + "\n")
         assert err == f"error: config: {message}\n"
+
+    @pytest.mark.parametrize("text", ["", "# nothing set\n", "calibration:\n", "synth: null\n"])
+    def test_empty_file_or_null_section_keeps_the_defaults(self, tmp_path, text):
+        p = tmp_path / "empty.yaml"
+        p.write_text(text)
+        assert load_config(p) == default_config()
+
+    def test_top_level_must_be_a_mapping(self, tmp_path, capsys):
+        p = tmp_path / "list.yaml"
+        p.write_text("- region\n")
+        code, _, err = run(capsys, "--config", str(p), "calibrate")
+        assert (code, err) == (2, f"error: config: {p}: top level must be a mapping\n")
 
     def test_values_of_the_right_type_load(self, tmp_path):
         p = tmp_path / "good.yaml"
@@ -254,6 +280,42 @@ class TestCalibrate:
             "in [30.0, 520.0], at most 2700 are searched\n"
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("step, points", [(1.0e-300, "4.9e+302"), (5.0e-324, "inf")])
+    def test_grid_point_count_stays_short(self, workspace, capsys, step, points):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "fine.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"grid_step": step})))
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(tmp_path / "c"))
+        assert (code, err) == (1, (
+            f"error: calibration.grid_step {step} is too fine: {points} grid points "
+            "in [30.0, 520.0], at most 2700 are searched\n"
+        ))
+
+    @pytest.mark.parametrize("cutoffs, shown", [([300, 100], "(300.0, 100.0)"),
+                                                ([float("nan"), 100], "(nan, 100.0)")])
+    def test_cutoffs_out_of_order_name_the_key(self, workspace, capsys, cutoffs, shown):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "cutoffs.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"rainfall_cutoffs": cutoffs})))
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(tmp_path / "c"))
+        assert (code, err) == (
+            1, f"error: calibration.rainfall_cutoffs: need 0 <= r_min < r_max, got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("exponents", [None, [1, 1, 1, 1]])
+    def test_bad_membership_fails_whether_or_not_exponents_are_pinned(
+        self, workspace, capsys, exponents
+    ):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "membership.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(
+            data, membership={"temperature": [[30, 1], [20, 0]]},
+            calibration={"exponents": exponents},
+        )))
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(tmp_path / "c"))
+        assert (code, err) == (1, "error: breakpoint x values must strictly increase (30.0 >= 20.0)\n")
+
 
 # sha256 of every file that synth, report and evaluate write on the
 # quick-start panel, noiseless and at noise_scale 0.05 (seed 3). A change to
@@ -319,6 +381,35 @@ def test_artifact_bytes_are_pinned(tmp_path, capsys, noise_scale):
     assert digests == ARTIFACT_SHA256[noise_scale]
 
 
+# risk.csv, flagged.csv and calibration.json of the quick-start panel with
+# both membership shapes overridden and the exponents pinned.
+PINNED_MEMBERSHIP_SHA256 = {
+    "calibration.json": "ed173149a57340647606105f01597e750b4f6c19f16e0d9e172eff20501c2b13",
+    "flagged.csv": "39a7218e364062187a3bfb7eb0ace1331e8a85e6f73b45ade3263fc4eb99f1d9",
+    "risk.csv": "8d0d90ff88ce61b9ab63f26fc378c3138ffe633943ebedbccb6613d666d3b5e3",
+}
+
+
+def test_membership_overrides_with_pinned_exponents(workspace, capsys):
+    tmp_path, data, _ = workspace
+    cfg_path = tmp_path / "pinned.yaml"
+    cfg_path.write_text(yaml.safe_dump(synth_config(
+        data,
+        membership={"temperature": [[15, 0], [22, 1], [29, 1], [35, 0]],
+                    "humidity": [[50, 0], [70, 1], [100, 0.5]]},
+        calibration={"exponents": [1, 0.5, 2, 1]},
+    )))
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.startswith("flagged months: 2012-11, 2014-03, 2015-08, 2017-03, 2018-06\n")
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in PINNED_MEMBERSHIP_SHA256
+    }
+    assert digests == PINNED_MEMBERSHIP_SHA256
+
+
 class TestSynth:
     def test_writes_expected_artifacts(self, workspace):
         _, data, _ = workspace
@@ -327,6 +418,23 @@ class TestSynth:
             "susceptible.csv", "population.csv", "mobility.csv", "outbreaks.csv",
         }
         assert {p.name for p in data.iterdir()} == expected
+
+    @pytest.mark.parametrize(
+        "synth, message",
+        [
+            ({"start": "9999-01", "months": 24, "outbreak_months": ["9999-10"]},
+             "months must be <= 12 from 9999-01, to end by 9999-12"),
+            ({"months": 99999999999999999999999},
+             "months must be <= 95856 from 2012-01, to end by 9999-12"),
+        ],
+    )
+    def test_span_ending_after_9999_12_is_refused(self, tmp_path, capsys, synth, message):
+        cfg_path = tmp_path / "synth.yaml"
+        cfg_path.write_text(yaml.safe_dump({"synth": synth}))
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "--config", str(cfg_path), "synth", "--out", str(out))
+        assert (code, err) == (2, f"error: config: {message}\n")
+        assert not out.exists()
 
 
 class TestDetect:
@@ -415,6 +523,18 @@ class TestEvaluate:
 
 
 class TestReport:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_ideal_points(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "ideal.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, risk={"r_ideal": 5e-324,
+                                                                    "l_ideal": 5e-324})))
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
+        assert (code, err) == (0, "")
+        risk_rows = (tmp_path / "r" / "risk.csv").read_text().splitlines()[1:]
+        assert {tuple(row.split(",")[3:]) for row in risk_rows} <= {("0", "0"), ("1", "0"),
+                                                                     ("0", "1"), ("1", "1")}
+
     def test_end_to_end_zero_error_and_deterministic(self, workspace, capsys):
         tmp_path, data, cfg_path = workspace
         outs = []

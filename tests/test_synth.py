@@ -43,6 +43,11 @@ class TestSplitMix64:
 
 
 class TestConfigValidation:
+    def test_span_ends_by_9999_12(self):
+        assert SynthConfig(start=MonthIndex(9992, 1), months=96).months == 96
+        with pytest.raises(ConfigError, match="months must be <= 96 from 9992-01"):
+            SynthConfig(start=MonthIndex(9992, 1), months=97)
+
     def test_too_short(self):
         with pytest.raises(ConfigError):
             SynthConfig(months=12)
