@@ -4,13 +4,14 @@ baseline for comparison."""
 
 from .panel import MonthIndex, MonthlySeries, MobilityMatrix, Panel, Variable
 from .fuzzy import PiecewiseLinearMF
-from .risk import Lags, MembershipFunctions, RiskParams, RiskSeries
+from .risk import Calibration, Lags, MembershipFunctions, RiskSeries
 from .pareto import detect_outbreaks, rank_points
 from .evaluation import EvalResult, OutbreakCalendar, score
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Calibration",
     "EvalResult",
     "Lags",
     "MembershipFunctions",
@@ -20,7 +21,6 @@ __all__ = [
     "OutbreakCalendar",
     "Panel",
     "PiecewiseLinearMF",
-    "RiskParams",
     "RiskSeries",
     "Variable",
     "detect_outbreaks",

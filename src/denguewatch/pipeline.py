@@ -8,7 +8,8 @@ bytes are deterministic for identical inputs and configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -17,8 +18,10 @@ import numpy as np
 from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
-from .errors import ConfigError, CorrelationUndefinedError, ParameterError, PipelineError, UsageError
-from .evaluation import load_calendar, score
+from .errors import (
+    ConfigError, CorrelationUndefinedError, DengueWatchError, PipelineError, UsageError,
+)
+from .evaluation import OutbreakCalendar, load_calendar, score
 from .fuzzy import (
     PiecewiseLinearMF,
     humidity_mf_default,
@@ -37,9 +40,9 @@ from .panel import (
 )
 from .risk import (
     FACTORS,
+    Calibration,
     Lags,
     MembershipFunctions,
-    RiskParams,
     RiskSeries,
     default_mobility_c,
     mobility_risk,
@@ -83,24 +86,16 @@ def mobility_risk_series(panel: Panel, region: str) -> np.ndarray:
     return mobility_risk(panel, region)
 
 
-@dataclass(frozen=True)
-class Calibration:
-    lags: Lags
-    correlations: dict  # factor name -> signed r at the chosen lag
-    cutoffs: cal.CutoffResult
-    exponents: tuple
-    mobility_c: float
-    # The membership functions the calibrated values define.
-    membership: MembershipFunctions = field(compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "lags": asdict(self.lags),
-            "correlations": dict(self.correlations),
-            "rainfall_cutoffs": asdict(self.cutoffs),
-            "exponents": list(self.exponents),
-            "mobility_c": self.mobility_c,
-        }
+@contextmanager
+def _config_key(key):
+    """Prefix the message of a package error raised inside with ``key``, the
+    config key whose value caused it; a None key adds nothing."""
+    try:
+        yield
+    except DengueWatchError as exc:
+        if key is None:
+            raise
+        raise type(exc)(f"{key}: {exc}") from None
 
 
 def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
@@ -119,9 +114,10 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
     correlations = {}
     if ccfg["lags"] is not None:
         lags = Lags(**{k: int(v) for k, v in ccfg["lags"].items()})
-        for name, column in factors.items():
-            pair = cal.lagged_pair(column, incidence, getattr(lags, name))
-            correlations[name] = cal.pearson(*pair)
+        with _config_key("calibration.lags"):
+            for name, column in factors.items():
+                pair = cal.lagged_pair(column, incidence, getattr(lags, name))
+                correlations[name] = cal.pearson(*pair)
     else:
         results = cal.best_lags(factors.values(), incidence, max_lag)
         for result in results:  # the first failing factor, in search order
@@ -132,12 +128,10 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
-        try:  # the membership function's own range check, before any correlation
-            rainfall_mf_from_cutoffs(r_min, r_max)
-        except ParameterError as exc:
-            raise ParameterError(f"calibration.rainfall_cutoffs: {exc}") from None
-        band = cal.band_indicator(factors["rain"], r_min, r_max)
-        r = cal.pearson(*cal.lagged_pair(band, incidence, lags.rain))
+        with _config_key("calibration.rainfall_cutoffs"):
+            rainfall_mf_from_cutoffs(r_min, r_max)  # its range check, before any correlation
+            band = cal.band_indicator(factors["rain"], r_min, r_max)
+            r = cal.pearson(*cal.lagged_pair(band, incidence, lags.rain))
         cutoffs = cal.CutoffResult(r_min, r_max, r)
     else:
         cutoffs = cal.rainfall_cutoffs(
@@ -150,9 +144,8 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
     mobility_c = float(mobility_c)
 
     mfs = membership_functions(cfg, cutoffs, mobility_c)
-    if ccfg["exponents"] is not None:
-        exponents = tuple(float(c) for c in ccfg["exponents"])
-    else:
+    exponents = ccfg["exponents"]
+    if exponents is None:
         member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]
         exponents = cal.estimate_exponents(member, incidence, max_lag)
 
@@ -160,39 +153,28 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
 
 
 def membership_functions(cfg: dict, cutoffs, mobility_c: float) -> MembershipFunctions:
+    """The four membership functions. An error raised by a config value names
+    its key; one raised by a ``mobility_c`` derived from the data does not."""
     mcfg = cfg["membership"]
-    temp = (
-        PiecewiseLinearMF(tuple((x, y) for x, y in mcfg["temperature"]))
-        if mcfg["temperature"] is not None
-        else temperature_mf_default()
-    )
-    humid = (
-        PiecewiseLinearMF(tuple((x, y) for x, y in mcfg["humidity"]))
-        if mcfg["humidity"] is not None
-        else humidity_mf_default()
-    )
-    rain = rainfall_mf_from_cutoffs(
-        cutoffs.r_min, cutoffs.r_max, mcfg["rainfall_shoulder"]
-    )
-    return MembershipFunctions(rain, temp, humid, mobility_mf(mobility_c))
-
-
-def risk_params(cfg: dict, calibration: Calibration) -> RiskParams:
-    rcfg = cfg["risk"]
-    return RiskParams(
-        mobility_c=calibration.mobility_c,
-        lags=calibration.lags,
-        exponents=calibration.exponents,
-        r_ideal=float(rcfg["r_ideal"]),
-        l_ideal=float(rcfg["l_ideal"]),
-    )
+    with _config_key("membership.temperature"):
+        temp = mcfg["temperature"]
+        temp = temperature_mf_default() if temp is None else PiecewiseLinearMF(temp)
+    with _config_key("membership.humidity"):
+        humid = mcfg["humidity"]
+        humid = humidity_mf_default() if humid is None else PiecewiseLinearMF(humid)
+    with _config_key("membership.rainfall_shoulder"):
+        rain = rainfall_mf_from_cutoffs(cutoffs.r_min, cutoffs.r_max, mcfg["rainfall_shoulder"])
+    with _config_key(None if cfg["risk"]["mobility_c"] is None else "risk.mobility_c"):
+        mobility = mobility_mf(mobility_c)
+    return MembershipFunctions(rain, temp, humid, mobility)
 
 
 def detect(panel: Panel, cfg: dict, calibration: Calibration):
     """Objective space plus flagged months for the target region."""
-    region = cfg["region"]
-    params = risk_params(cfg, calibration)
-    series = objective_space(panel, calibration.membership, params, region)
+    rcfg = cfg["risk"]
+    series = objective_space(
+        panel, calibration, cfg["region"], float(rcfg["r_ideal"]), float(rcfg["l_ideal"])
+    )
     flagged = pareto.detect_outbreaks(series, cfg["detection"]["rank_threshold"])
     return series, flagged
 
@@ -210,8 +192,8 @@ def run_baseline(panel: Panel, cfg: dict, calibration: Calibration):
 
 def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
     """Each named prediction scored against the ``actual`` calendar, over the
-    configured span. A bound left null is inferred: the first or the last of
-    ``months`` and the actual months."""
+    configured span; months outside it are not scored. A bound left null is
+    inferred: the first or the last of ``months`` and the actual months."""
     ecfg = cfg["evaluation"]
     every = [*months, *actual.months]
     span = []
@@ -222,10 +204,15 @@ def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
             span.append(infer(every))
         else:
             raise PipelineError("cannot infer an evaluation span from empty month sets")
+
+    def inside(months):
+        return [t for t in months if span[0] <= t <= span[1]]
+
+    actual = OutbreakCalendar(inside(actual.months))
     window = ecfg["match_window"]
     payload = {"span": {"start": str(span[0]), "end": str(span[1])}, "match_window": window}
     for name, months_predicted in predicted.items():
-        payload[name] = asdict(score(months_predicted, actual, span, window))
+        payload[name] = asdict(score(inside(months_predicted), actual, span, window))
     return payload
 
 

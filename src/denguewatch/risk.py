@@ -13,11 +13,12 @@ so that months closest to the ideal point (0, 0) are outbreak candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from .calibrate import CutoffResult
 from .errors import MissingDataError, ParameterError, PipelineError
 from .fuzzy import PiecewiseLinearMF
 from .panel import MobilityMatrix, MonthIndex, Panel, Variable, shift
@@ -43,35 +44,43 @@ FACTORS = tuple(f.name for f in fields(Lags))
 
 
 @dataclass(frozen=True)
-class RiskParams:
-    """Everything needed to turn a panel into objective space."""
+class MembershipFunctions:
+    rain: PiecewiseLinearMF
+    temp: PiecewiseLinearMF
+    humid: PiecewiseLinearMF
+    mobility: PiecewiseLinearMF
 
+
+@dataclass(frozen=True)
+class Calibration:
+    """The calibrated model: each factor's lag, membership function and
+    exponent, with the correlations and rainfall band they came from."""
+
+    lags: Lags
+    correlations: dict  # factor name -> signed r at the chosen lag
+    cutoffs: CutoffResult
+    exponents: tuple  # in FACTORS order
     mobility_c: float
-    lags: Lags = field(default_factory=Lags)
-    exponents: tuple = (1.0, 1.0, 1.0, 1.0)  # rain, temp, humid, mobility
-    r_ideal: float = 1.0
-    l_ideal: float = 1.0
+    # The membership functions the calibrated values define.
+    membership: MembershipFunctions = field(compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(float(c) for c in self.exponents))
         if len(self.exponents) != 4 or any(
             not (math.isfinite(c) and c > 0) for c in self.exponents
         ):
-            raise ParameterError(f"exponents must be 4 positive reals, got {self.exponents}")
-        for name in ("r_ideal", "l_ideal"):
-            v = getattr(self, name)
-            if not (0 < v <= 1):
-                raise ParameterError(f"{name} must lie in (0, 1], got {v}")
-        if not (math.isfinite(self.mobility_c) and self.mobility_c > 0):
-            raise ParameterError(f"mobility_c must be > 0, got {self.mobility_c}")
+            raise ParameterError(
+                f"calibration.exponents must be 4 positive reals, got {self.exponents}"
+            )
 
-
-@dataclass(frozen=True)
-class MembershipFunctions:
-    rain: PiecewiseLinearMF
-    temp: PiecewiseLinearMF
-    humid: PiecewiseLinearMF
-    mobility: PiecewiseLinearMF
+    def to_dict(self) -> dict:
+        return {
+            "lags": asdict(self.lags),
+            "correlations": dict(self.correlations),
+            "rainfall_cutoffs": asdict(self.cutoffs),
+            "exponents": list(self.exponents),
+            "mobility_c": self.mobility_c,
+        }
 
 
 class RiskMonth(NamedTuple):
@@ -192,9 +201,11 @@ def incidence_peak(infected: np.ndarray, region: str) -> float:
 
 
 def objective_space(
-    panel: Panel, mfs: MembershipFunctions, params: RiskParams, region: str
+    panel: Panel, calibration: Calibration, region: str, r_ideal=1.0, l_ideal=1.0
 ) -> RiskSeries:
-    """Map every admissible month of the aligned span into (d1, d2).
+    """Map every admissible month of the aligned span into (d1, d2), with the
+    lags, membership functions and exponents of ``calibration`` and the ideal
+    point (``r_ideal``, ``l_ideal``), each in (0, 1].
 
     Months whose lagged inputs are missing are omitted and listed in
     ``skipped``. The region's I, S and N series must exist. Raises
@@ -205,12 +216,15 @@ def objective_space(
     the last bit), and the four columns multiply in factor order from 1.0,
     the order of a per-month ``math.prod``.
     """
+    for name, v in (("r_ideal", r_ideal), ("l_ideal", l_ideal)):
+        if not (0 < v <= 1):
+            raise ParameterError(f"{name} must lie in (0, 1], got {v}")
     cols = target_columns(
         panel, region, Variable.INCIDENCE, Variable.SUSCEPTIBLE, Variable.POPULATION
     )
     start, end = panel.span
     i_peak = incidence_peak(cols.infected, region)
-    inputs = cols.inputs(params.lags)
+    inputs = cols.inputs(calibration.lags)
     infected, susceptible, population = inputs[4:]
     zero_pop = np.flatnonzero(~np.isnan(infected) & ~np.isnan(susceptible) & (population == 0.0))
     if zero_pop.size:
@@ -219,15 +233,16 @@ def objective_space(
         )
     ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
     r = 1.0
-    for name, column, c in zip(FACTORS, inputs, params.exponents):
-        r = r * np.array([m**c for m in getattr(mfs, name).evaluate(column[ok]).tolist()])
+    for name, column, c in zip(FACTORS, inputs, calibration.exponents):
+        mf = getattr(calibration.membership, name)
+        r = r * np.array([m**c for m in mf.evaluate(column[ok]).tolist()])
     r = np.clip(r, 0.0, 1.0)
     l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
         infected[ok] / i_peak, 0.0, 1.0
     )
     with np.errstate(over="ignore"):  # an ideal near 5e-324 overflows to inf: d = 0
-        d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
-        d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
+        d1 = np.clip(1.0 - r / r_ideal, 0.0, 1.0)
+        d2 = np.clip(1.0 - l / l_ideal, 0.0, 1.0)
     first = start.ordinal
     t = [MonthIndex.from_ordinal(first + k) for k in np.flatnonzero(ok).tolist()]
     months = tuple(map(RiskMonth, t, r.tolist(), l.tolist(), d1.tolist(), d2.tolist()))

@@ -291,7 +291,9 @@ def reference_best_lags(factors, incidence, max_lag: int) -> list:
     return best
 
 
-def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:
+def reference_objective_space(
+    panel, calibration, region: str, r_ideal=1.0, l_ideal=1.0
+) -> RiskSeries:
     """The objective space with R as a product over each month's row of
     membership degrees, and each month's record from MonthIndex arithmetic."""
     cols = target_columns(
@@ -299,7 +301,7 @@ def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:
     )
     start, end = panel.span
     i_peak = incidence_peak(cols.infected, region)
-    inputs = cols.inputs(params.lags)
+    inputs = cols.inputs(calibration.lags)
     rain, temp, humid, r_mob, infected, susceptible, population = inputs
     zero_pop = np.flatnonzero(~np.isnan(infected) & ~np.isnan(susceptible) & (population == 0.0))
     if zero_pop.size:
@@ -307,6 +309,7 @@ def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:
             f"region {region} has zero population at {start + (int(zero_pop[0]) - 1)}"
         )
     ok = ~np.isnan(np.column_stack(inputs)).any(axis=1)
+    mfs = calibration.membership
     degrees = zip(
         mfs.rain.evaluate(rain[ok]),
         mfs.temp.evaluate(temp[ok]),
@@ -314,15 +317,15 @@ def reference_objective_space(panel, mfs, params, region: str) -> RiskSeries:
         mfs.mobility.evaluate(r_mob[ok]),
     )
     r = np.clip(
-        [math.prod(float(m) ** c for m, c in zip(row, params.exponents)) for row in degrees],
+        [math.prod(float(m) ** c for m, c in zip(row, calibration.exponents)) for row in degrees],
         0.0,
         1.0,
     )
     l = np.clip(susceptible[ok] / population[ok], 0.0, 1.0) * np.clip(
         infected[ok] / i_peak, 0.0, 1.0
     )
-    d1 = np.clip(1.0 - r / params.r_ideal, 0.0, 1.0)
-    d2 = np.clip(1.0 - l / params.l_ideal, 0.0, 1.0)
+    d1 = np.clip(1.0 - r / r_ideal, 0.0, 1.0)
+    d2 = np.clip(1.0 - l / l_ideal, 0.0, 1.0)
     months = tuple(
         RiskMonth(start + int(k), *row)
         for k, row in zip(np.flatnonzero(ok), np.column_stack((r, l, d1, d2)).tolist())

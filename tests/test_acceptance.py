@@ -211,7 +211,7 @@ def test_criterion_8_objective_space_contracts():
     calibration = pipeline.calibrate_panel(panel, cfg)
     series, _ = pipeline.detect(panel, cfg, calibration)
     mfs = pipeline.membership_functions(cfg, calibration.cutoffs, calibration.mobility_c)
-    params = pipeline.risk_params(cfg, calibration)
+    r_ideal, l_ideal = cfg["risk"]["r_ideal"], cfg["risk"]["l_ideal"]
     lags = calibration.lags
 
     def clamp01(x):
@@ -233,8 +233,8 @@ def test_criterion_8_objective_space_contracts():
     assert series.months, "no emitted months"
     for m in series.months:
         t = m.t
-        assert abs(m.d1 - clamp01(1.0 - m.R / params.r_ideal)) <= 1e-12
-        assert abs(m.d2 - clamp01(1.0 - m.L / params.l_ideal)) <= 1e-12
+        assert abs(m.d1 - clamp01(1.0 - m.R / r_ideal)) <= 1e-12
+        assert abs(m.d2 - clamp01(1.0 - m.L / l_ideal)) <= 1e-12
 
         memberships = (
             mfs.rain.evaluate(value(Variable.RAINFALL, t - lags.rain)),
@@ -243,7 +243,7 @@ def test_criterion_8_objective_space_contracts():
             mfs.mobility.evaluate(mobility_risk(t - lags.mobility)),
         )
         r_re = 1.0
-        for mu, c in zip(memberships, params.exponents):
+        for mu, c in zip(memberships, calibration.exponents):
             r_re *= float(mu) ** c
         assert abs(m.R - r_re) <= 1e-12
 

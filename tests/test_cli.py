@@ -221,6 +221,43 @@ class TestConfigValidation:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    LAGS = {"rain": 500, "temp": 3, "humid": 2, "mobility": 1}
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"membership": {"temperature": [[30, 1], [20, 0]]}},
+             "membership.temperature: breakpoint x values must strictly increase (30.0 >= 20.0)"),
+            ({"membership": {"temperature": [[20, 1]]}},
+             "membership.temperature: membership function needs at least 2 breakpoints"),
+            ({"membership": {"humidity": [[90, 1], [60, 0]]}},
+             "membership.humidity: breakpoint x values must strictly increase (90.0 >= 60.0)"),
+            ({"membership": {"humidity": []}},
+             "membership.humidity: membership function needs at least 2 breakpoints"),
+            ({"membership": {"rainfall_shoulder": -1}},
+             "membership.rainfall_shoulder: shoulder width must be > 0, got -1"),
+            ({"risk": {"mobility_c": -1}},
+             "risk.mobility_c: mobility normalizer must be > 0, got -1.0"),
+            ({"calibration": {"rainfall_cutoffs": [0, 1000000]}},
+             "calibration.rainfall_cutoffs: zero variance in at least one argument"),
+            ({"calibration": {"rainfall_cutoffs": [900, 1000]}},
+             "calibration.rainfall_cutoffs: zero variance in at least one argument"),
+            ({"calibration": {"lags": LAGS}},
+             "calibration.lags: need >= 3 paired observations, got 0"),
+        ],
+        ids=["temperature-order", "temperature-short", "humidity-order", "humidity-empty",
+             "rainfall_shoulder", "mobility_c", "cutoffs-every-month", "cutoffs-no-month",
+             "lags"],
+    )
+    def test_stage_errors_name_their_key(self, workspace, capsys, overrides, message):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "stage.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, **overrides)))
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
 
 # calibration.json of the quick-start panel with both searches fixed by the
 # config; the bytes are those the per-pair and per-lag loops wrote.
@@ -314,7 +351,23 @@ class TestCalibrate:
             calibration={"exponents": exponents},
         )))
         code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(tmp_path / "c"))
-        assert (code, err) == (1, "error: breakpoint x values must strictly increase (30.0 >= 20.0)\n")
+        assert (code, err) == (1, "error: membership.temperature: breakpoint x values must "
+                                  "strictly increase (30.0 >= 20.0)\n")
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect", "baseline", "report"])
+    @pytest.mark.parametrize("exponents, shown", [([1, 1, 1, -1], "(1.0, 1.0, 1.0, -1.0)"),
+                                                  ([0, 1, 1, 1], "(0.0, 1.0, 1.0, 1.0)")])
+    def test_pinned_exponents_must_be_positive(self, workspace, capsys, command, exponents,
+                                               shown):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "exponents.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"exponents": exponents})))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+        assert (code, err) == (
+            1, f"error: calibration.exponents must be 4 positive reals, got {shown}\n"
+        )
+        assert not out.exists()
 
 
 # sha256 of every file that synth, report and evaluate write on the
@@ -523,6 +576,31 @@ class TestEvaluate:
 
 
 class TestReport:
+    @pytest.mark.parametrize(
+        "bound, span, matches, total",
+        [
+            ({"span_start": "2016-06"}, {"start": "2016-06", "end": "2019-12"}, 2, 43),
+            ({"span_end": "2014-01"}, {"start": "2012-04", "end": "2014-01"}, 1, 22),
+        ],
+    )
+    def test_months_outside_the_span_are_not_scored(
+        self, workspace, capsys, bound, span, matches, total
+    ):
+        # The planted and flagged months are 2012-11, 2014-03, 2015-08, 2017-03
+        # and 2018-06; the modelled months run 2012-04..2019-12.
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "span.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, evaluation=bound)))
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert (code, err) == (0, "")
+        payload = json.loads((out / "evaluation.json").read_text())
+        assert payload["span"] == span
+        for method in ("multicriteria", "baseline"):
+            assert payload[method] == {"matches": matches, "false_positives": 0,
+                                       "false_negatives": 0, "total_months": total,
+                                       "error_rate": 0.0}
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_ideal_points(self, workspace, capsys):
         tmp_path, data, _ = workspace

@@ -25,7 +25,7 @@ from denguewatch.fuzzy import (
     temperature_mf_default,
 )
 from denguewatch.panel import MobilityMatrix, MonthIndex, MonthlySeries, Panel, Variable, align
-from denguewatch.risk import Lags, MembershipFunctions, RiskParams, objective_space
+from denguewatch.risk import Calibration, Lags, MembershipFunctions, objective_space
 
 from reference import (
     reference_best_lags,
@@ -208,8 +208,8 @@ class TestMaskedLagPass:
 
 
 def risk_case(kind, seed):
-    """Seeded (panel, membership functions, risk parameters) for region WP,
-    fed by NB through W."""
+    """Seeded ``objective_space`` arguments: a panel, a calibration, region
+    WP, fed by NB through W, and an ideal point."""
     rng = np.random.default_rng([seed, KINDS.index(kind), 1])
     n = int(rng.integers(1, 4)) if kind == "short" else int(rng.integers(8, 132))
     pop = float(rng.integers(500, 5000))
@@ -241,14 +241,16 @@ def risk_case(kind, seed):
         temperature_mf_default(), humidity_mf_default(),
         mobility_mf(float(rng.uniform(0.01, 1.0))),
     )
-    params = RiskParams(
-        mobility_c=1.0,
+    calibration = Calibration(
         lags=Lags(*(int(k) for k in rng.integers(0, 4, size=4))),
+        correlations={},
+        cutoffs=None,
         exponents=tuple(rng.choice([0.05, 0.5, 1.0, 1.7, 3.85], size=4)),
-        r_ideal=float(rng.choice([1.0, 0.8, 0.3])),
-        l_ideal=float(rng.choice([1.0, 0.5])),
+        mobility_c=1.0,
+        membership=mfs,
     )
-    return panel, mfs, params
+    ideals = (float(rng.choice([1.0, 0.8, 0.3])), float(rng.choice([1.0, 0.5])))
+    return panel, calibration, "WP", *ideals
 
 
 class TestObjectiveSpace:
@@ -256,13 +258,13 @@ class TestObjectiveSpace:
     def test_equals_per_month_products(self, kind):
         for seed in SEEDS:
             case = risk_case(kind, seed)
-            assert outcome(objective_space, *case, "WP") == outcome(
-                reference_objective_space, *case, "WP"
+            assert outcome(objective_space, *case) == outcome(
+                reference_objective_space, *case
             ), seed
 
     def test_cases_reach_the_products(self):
         """The fuzzed cases are not all errors, and some months are skipped."""
-        series = [outcome(objective_space, *risk_case(k, s), "WP") for k in KINDS for s in SEEDS]
+        series = [outcome(objective_space, *risk_case(k, s)) for k in KINDS for s in SEEDS]
         done = [s for s in series if not isinstance(s, tuple)]
         assert len(done) > len(series) // 2
         assert any(s.skipped for s in done)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields, replace
 from unittest import mock
@@ -26,10 +27,10 @@ from denguewatch.panel import (
     align,
 )
 from denguewatch.risk import (
+    Calibration,
     Lags,
     MembershipFunctions,
     RiskMonth,
-    RiskParams,
     mobility_risk,
     objective_space,
     target_columns,
@@ -71,27 +72,52 @@ def unit_mfs(c_max=1.0):
     )
 
 
-def zero_lag_params(**kw):
-    defaults = dict(mobility_c=1.0, lags=Lags(0, 0, 0, 0))
-    defaults.update(kw)
-    return RiskParams(**defaults)
+def unit_calibration(c_max=1.0, lags=Lags(0, 0, 0, 0), exponents=(1.0, 1.0, 1.0, 1.0)):
+    """A calibration of ``unit_mfs(c_max)``, at zero lags unless given."""
+    return Calibration(lags, {}, None, exponents, c_max, unit_mfs(c_max))
 
 
-class TestRiskParams:
+class TestModelChecks:
+    """Each model value is checked where it enters: lags and exponents by the
+    calibration, the mobility normalizer by its membership function, and the
+    ideal point by the objective space."""
+
     def test_defaults(self):
-        p = RiskParams(mobility_c=2.0)
-        assert (p.lags.rain, p.lags.temp, p.lags.humid, p.lags.mobility) == (2, 3, 2, 1)
-        assert p.r_ideal == 1.0 and p.l_ideal == 1.0
+        lags = Lags()
+        assert (lags.rain, lags.temp, lags.humid, lags.mobility) == (2, 3, 2, 1)
+        ideals = inspect.signature(objective_space).parameters
+        assert ideals["r_ideal"].default == 1.0 and ideals["l_ideal"].default == 1.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            RiskParams(mobility_c=0.0)
-        with pytest.raises(ParameterError):
-            RiskParams(mobility_c=1.0, exponents=(1, 1, 1, 0))
-        with pytest.raises(ParameterError):
-            RiskParams(mobility_c=1.0, r_ideal=1.5)
+            mobility_mf(0.0)
+        with pytest.raises(ParameterError, match=r"calibration\.exponents must be 4 positive"):
+            unit_calibration(exponents=(1, 1, 1, 0))
+        panel = mk_panel([1.0] * 4, [1.0] * 4, [1.0] * 4, [100.0] * 4, [50.0] * 4)
+        with pytest.raises(ParameterError, match=r"r_ideal must lie in \(0, 1\], got 1.5"):
+            objective_space(panel, unit_calibration(), "WP", r_ideal=1.5)
         with pytest.raises(ParameterError):
             Lags(rain=-1)
+
+    @pytest.mark.parametrize("c_max", [0.0, -1.0, math.nan, math.inf])
+    def test_mobility_normalizer(self, c_max):
+        with pytest.raises(ParameterError, match="mobility normalizer must be > 0"):
+            mobility_mf(c_max)
+
+    @pytest.mark.parametrize(
+        "exponents", [(1, 1, 1, 0), (1, 1, 1, -1), (1, 1, 1), (1, 1, 1, math.nan),
+                      (1, 1, 1, math.inf)],
+    )
+    def test_exponents(self, exponents):
+        with pytest.raises(ParameterError, match=r"calibration\.exponents must be 4 positive"):
+            unit_calibration(exponents=exponents)
+
+    @pytest.mark.parametrize("ideal", [0.0, -0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("name", ["r_ideal", "l_ideal"])
+    def test_ideal_point(self, name, ideal):
+        panel = mk_panel([1.0] * 4, [1.0] * 4, [1.0] * 4, [100.0] * 4, [50.0] * 4)
+        with pytest.raises(ParameterError, match=rf"{name} must lie in \(0, 1\], got"):
+            objective_space(panel, unit_calibration(), "WP", **{name: ideal})
 
 
 def density_panel(rows, densities):
@@ -130,8 +156,8 @@ class TestMobilityRisk:
         assert math.isnan(r[0]) and r[1] == pytest.approx(0.3)
 
 
-def first_month(panel, params, mfs=None):
-    return objective_space(panel, mfs or unit_mfs(), params, "WP").months[0]
+def first_month(panel, calibration):
+    return objective_space(panel, calibration, "WP").months[0]
 
 
 class TestRegionalRisk:
@@ -148,22 +174,21 @@ class TestRegionalRisk:
 
     def test_all_memberships_one(self):
         panel = mk_panel([1.0] * 4, [1.0] * 4, [1.0] * 4, [100.0] * 4, [50.0] * 4)
-        assert first_month(panel, zero_lag_params()).R == pytest.approx(1.0)
+        assert first_month(panel, unit_calibration()).R == pytest.approx(1.0)
 
     def test_zero_membership_annihilates(self):
         panel = mk_panel([0.0] * 4, [1.0] * 4, [1.0] * 4, [100.0] * 4, [50.0] * 4)
-        assert first_month(panel, zero_lag_params()).R == 0.0
+        assert first_month(panel, unit_calibration()).R == 0.0
 
     def test_exponent_arithmetic(self):
         panel = self._panel()
-        params = zero_lag_params(exponents=(2.0, 1.0, 1.0, 1.0))
+        calibration = unit_calibration(exponents=(2.0, 1.0, 1.0, 1.0))
         # memberships: rain 0.5, temp 1, humid 1, mobility 0.1 (I/N via weight 1)
-        assert first_month(panel, params).R == pytest.approx(0.5**2 * 0.1)
+        assert first_month(panel, calibration).R == pytest.approx(0.5**2 * 0.1)
 
     def test_missing_lagged_value_excludes_month(self):
         panel = self._panel()
-        params = RiskParams(mobility_c=1.0, lags=Lags(2, 0, 0, 0))
-        rs = objective_space(panel, unit_mfs(), params, "WP")
+        rs = objective_space(panel, unit_calibration(lags=Lags(2, 0, 0, 0)), "WP")
         # rain(t-2) predates the span for the first two months
         assert rs.skipped == (START, START + 1)
         assert rs.months[0].t == START + 2
@@ -171,7 +196,7 @@ class TestRegionalRisk:
     def test_monotone_in_exponent_when_membership_below_one(self):
         panel = self._panel()
         rs = [
-            first_month(panel, zero_lag_params(exponents=(c, 1, 1, 1))).R
+            first_month(panel, unit_calibration(exponents=(c, 1, 1, 1))).R
             for c in (0.5, 1.0, 2.0, 4.0)
         ]
         assert rs == sorted(rs, reverse=True)
@@ -179,8 +204,8 @@ class TestRegionalRisk:
     def test_exponent_scaling_is_power_law(self):
         panel = self._panel()
         lam = 1.7
-        base = zero_lag_params(exponents=(2.0, 1.0, 1.0, 1.0))
-        scaled = zero_lag_params(exponents=tuple(lam * c for c in base.exponents))
+        base = unit_calibration(exponents=(2.0, 1.0, 1.0, 1.0))
+        scaled = unit_calibration(exponents=tuple(lam * c for c in base.exponents))
         r1 = first_month(panel, base).R
         r2 = first_month(panel, scaled).R
         assert r2 == pytest.approx(r1**lam)
@@ -194,7 +219,7 @@ class TestLocalVariation:
             [1.0] * 4, [1.0] * 4, [1.0] * 4,
             inc=[20.0, 20.0, 20.0, 20.0], sus=[100.0] * 4, pop=[100.0] * 4,
         )
-        m = first_month(panel, zero_lag_params())
+        m = first_month(panel, unit_calibration())
         assert m.t == START + 1 and m.L == pytest.approx(1.0)
 
     def test_zero_infected_last_month(self):
@@ -202,14 +227,14 @@ class TestLocalVariation:
             [1.0] * 4, [1.0] * 4, [1.0] * 4,
             inc=[0.0, 5.0, 5.0, 5.0], sus=[100.0] * 4, pop=[100.0] * 4,
         )
-        assert first_month(panel, zero_lag_params()).L == 0.0
+        assert first_month(panel, unit_calibration()).L == 0.0
 
     def test_zero_susceptible_last_month(self):
         panel = mk_panel(
             [1.0] * 4, [1.0] * 4, [1.0] * 4,
             inc=[5.0] * 4, sus=[0.0, 100.0, 100.0, 100.0], pop=[100.0] * 4,
         )
-        assert first_month(panel, zero_lag_params()).L == 0.0
+        assert first_month(panel, unit_calibration()).L == 0.0
 
     def test_zero_population_errors(self):
         panel = mk_panel(
@@ -217,7 +242,7 @@ class TestLocalVariation:
             inc=[5.0] * 4, sus=[10.0] * 4, pop=[0.0] * 4,
         )
         with pytest.raises(ParameterError, match="zero population at 2015-01"):
-            objective_space(panel, unit_mfs(), zero_lag_params(), "WP")
+            objective_space(panel, unit_calibration(), "WP")
 
 
 class TestObjectiveSpace:
@@ -227,8 +252,7 @@ class TestObjectiveSpace:
             rain=[1.0] * n, temp=[1.0] * n, humid=[1.0] * n,
             inc=[10.0] * n, sus=[50.0] * n,
         )
-        params = zero_lag_params(mobility_c=0.1, **kw)
-        return objective_space(panel, unit_mfs(0.1), params, "WP")
+        return objective_space(panel, unit_calibration(0.1), "WP", **kw)
 
     def test_ideal_risk_gives_zero_d1(self):
         rs = self._series()
@@ -252,7 +276,7 @@ class TestObjectiveSpace:
             temp=[1.0] * n, humid=[1.0] * n,
             inc=[10.0] * n, sus=[50.0] * n,
         )
-        rs = objective_space(panel, unit_mfs(0.1), zero_lag_params(mobility_c=0.1), "WP")
+        rs = objective_space(panel, unit_calibration(0.1), "WP")
         for m in rs.months:
             assert 0.0 <= m.d1 <= 1.0 and 0.0 <= m.d2 <= 1.0
         # rain membership rises month over month, so d1 strictly falls
@@ -265,9 +289,8 @@ class TestObjectiveSpace:
             rain=[1.0] * n, temp=[1.0] * n, humid=[1.0] * n,
             inc=[10.0] * n, sus=[50.0] * n,
         )
-        params = RiskParams(mobility_c=1.0, lags=Lags(6, 6, 6, 6))
         with pytest.raises(PipelineError):
-            objective_space(panel, unit_mfs(), params, "WP")
+            objective_space(panel, unit_calibration(lags=Lags(6, 6, 6, 6)), "WP")
 
 
 class TestRiskMonth:
@@ -390,27 +413,28 @@ def clamp01(x):
     return min(1.0, max(0.0, x))
 
 
-def scalar_objective(panel, mfs, params, region):
+def scalar_objective(panel, calibration, region, r_ideal, l_ideal):
     i_peak = max(v for v in values_of(panel.get(region, Variable.INCIDENCE)) if v is not None)
     start, end = panel.span
     months, skipped = [], []
     for k in range(end - start + 1):
         t = start + k
-        inputs = scalar_inputs(panel, region, params.lags, t)
+        inputs = scalar_inputs(panel, region, calibration.lags, t)
         if None in inputs:
             skipped.append(t)
             continue
         rain, temp, humid, rmob, i, s, n = inputs
         r = 1.0
+        mfs = calibration.membership
         for mf, v, c in zip(
             (mfs.rain, mfs.temp, mfs.humid, mfs.mobility), (rain, temp, humid, rmob),
-            params.exponents,
+            calibration.exponents,
         ):
             r *= mf.evaluate(v) ** c
         r = clamp01(r)
         l = clamp01(s / n) * clamp01(i / i_peak)
-        d1 = clamp01(1.0 - r / params.r_ideal)
-        d2 = clamp01(1.0 - l / params.l_ideal)
+        d1 = clamp01(1.0 - r / r_ideal)
+        d2 = clamp01(1.0 - l / l_ideal)
         months.append(RiskMonth(t, r, l, d1, d2))
     return tuple(months), tuple(skipped)
 
@@ -438,10 +462,8 @@ class TestRaggedPanel:
         humid=humidity_mf_default(),
         mobility=mobility_mf(0.02),
     )
-    PARAMS = RiskParams(
-        mobility_c=0.02, lags=Lags(1, 2, 0, 1), exponents=(1.3, 0.7, 1.1, 0.9),
-        r_ideal=0.9, l_ideal=0.8,
-    )
+    CALIBRATION = Calibration(Lags(1, 2, 0, 1), {}, None, (1.3, 0.7, 1.1, 0.9), 0.02, MFS)
+    IDEALS = (0.9, 0.8)  # r_ideal, l_ideal
 
     # Lags(0, 0, 0, 3) has the longest mobility lag: V, with no mobility row,
     # keeps R_mob = 0.0 in the months the lag reaches before the span.
@@ -456,7 +478,7 @@ class TestRaggedPanel:
     )
     def test_columns_match_scalar_rederivation(self, without_mobility, lags):
         panel = ragged_panel()
-        params = replace(self.PARAMS, lags=lags)
+        calibration = replace(self.CALIBRATION, lags=lags)
         if without_mobility:
             panel = replace(panel, mobility=None)
         start, end = panel.span
@@ -468,22 +490,22 @@ class TestRaggedPanel:
             got = [None if math.isnan(v) else v for v in mobility_risk(panel, region).tolist()]
             assert got == expected, region
 
-            months, skipped = scalar_objective(panel, self.MFS, params, region)
+            months, skipped = scalar_objective(panel, calibration, region, *self.IDEALS)
             if months:
-                rs = objective_space(panel, self.MFS, params, region)
+                rs = objective_space(panel, calibration, region, *self.IDEALS)
                 assert (rs.months, rs.skipped) == (months, skipped), region
             else:
                 with pytest.raises(PipelineError):
-                    objective_space(panel, self.MFS, params, region)
+                    objective_space(panel, calibration, region, *self.IDEALS)
 
-            rows, response, design_months = scalar_design(panel, params.lags, region)
+            rows, response, design_months = scalar_design(panel, lags, region)
             if len(rows) >= 8:
-                x, y, got_months = build_design(panel, params.lags, region)
+                x, y, got_months = build_design(panel, lags, region)
                 assert [tuple(row) for row in x.tolist()] == rows, region
                 assert y.tolist() == response and got_months == design_months, region
             else:
                 with pytest.raises(UnderdeterminedError):
-                    build_design(panel, params.lags, region)
+                    build_design(panel, lags, region)
 
     def test_edge_cases_reach_the_columns(self):
         """The panel exercises what it claims to: T loses exactly the months
@@ -494,7 +516,7 @@ class TestRaggedPanel:
         assert np.flatnonzero(np.isnan(t_mob)).tolist() == [5, 11]
         assert np.isnan(mobility_risk(panel, "U")).all()
         assert mobility_risk(panel, "V").tolist() == [0.0] * N_RAGGED
-        rs = objective_space(panel, self.MFS, self.PARAMS, "T")
+        rs = objective_space(panel, self.CALIBRATION, "T", *self.IDEALS)
         assert len(rs.months) > 8 and len(rs.skipped) > 2
 
 
