@@ -135,26 +135,6 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(peak)[1], out=v)
 
 
-def lagged_pair(factor, incidence, k: int):
-    """The factor at month t - k beside incidence at month t, for every month
-    t of the span the two equal-length columns cover: a lag is a slice offset.
-    """
-    fa = np.asarray(factor, dtype=float)
-    ia = np.asarray(incidence, dtype=float)
-    if fa.shape != ia.shape:
-        raise ParameterError(f"length mismatch: {fa.size} vs {ia.size}")
-    if k < 0:
-        raise ParameterError(f"lag must be >= 0, got {k}")
-    return fa[: max(ia.size - k, 0)], ia[k:]
-
-
-def band_indicator(rain, r_min: float, r_max: float) -> np.ndarray:
-    """1.0 where r_min <= rain <= r_max, else 0.0; NaN where rain is NaN."""
-    rain = np.asarray(rain, dtype=float)
-    inside = ((rain >= r_min) & (rain <= r_max)).astype(float)
-    return np.where(np.isnan(rain), np.nan, inside)
-
-
 def best_lags(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> list:
     """For each factor, the lag in [0, max_lag] whose cross-correlation
     magnitude is largest, or the error that lag search ends in.
@@ -205,7 +185,8 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     so they are left out here (including them biases the optimum toward a
     narrower plateau). Pairs are taken r_min first, then r_max, ascending;
     a pair replaces the best so far when its r is higher by more than 1e-12,
-    or within 1e-12 and its band is wider, or as wide with a smaller r_min.
+    or within 1e-12 and its band is wider by more than 1e-12. So a tie goes to
+    the wider band, and between bands of equal width to the first one found.
 
     Closed form. Over the n paired months, with c the centred incidence as
     :func:`pearson` computes it and ey = sum(c), a band holding k months
@@ -234,7 +215,13 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     """
     if grid_step <= 0:
         raise ParameterError(f"grid_step must be > 0, got {grid_step}")
-    ra, ia = lagged_pair(rain, incidence, lag)
+    ra = np.asarray(rain, dtype=float)
+    ia = np.asarray(incidence, dtype=float)
+    if ra.shape != ia.shape:
+        raise ParameterError(f"length mismatch: {ra.size} vs {ia.size}")
+    if lag < 0:
+        raise ParameterError(f"lag must be >= 0, got {lag}")
+    ra, ia = ra[: max(ia.size - lag, 0)], ia[lag:]  # rain at t - lag beside incidence at t
     present = ra[~np.isnan(ra)]
     if present.size == 0:
         raise CalibrationError("rain series has no present values after lagging")
@@ -295,12 +282,10 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
         a, b = grid[i], grid[j]
         if best is None or r > best.correlation + _TIE_EPS:
             best = CutoffResult(a, b, r)
-        elif abs(r - best.correlation) <= _TIE_EPS:
-            width, best_width = b - a, best.r_max - best.r_min
-            if width > best_width + _TIE_EPS or (
-                abs(width - best_width) <= _TIE_EPS and a < best.r_min
-            ):
-                best = CutoffResult(a, b, r)
+        elif abs(r - best.correlation) <= _TIE_EPS and (
+            b - a > best.r_max - best.r_min + _TIE_EPS
+        ):
+            best = CutoffResult(a, b, r)
     return best
 
 

@@ -36,6 +36,7 @@ from .panel import (
     align,
     load_mobility,
     load_series_table,
+    shift,
     write_csv,
 )
 from .risk import (
@@ -87,15 +88,29 @@ def mobility_risk_series(panel: Panel, region: str) -> np.ndarray:
 
 
 @contextmanager
-def _config_key(key):
+def _config_key(key, *names):
     """Prefix the message of a package error raised inside with ``key``, the
-    config key whose value caused it; a None key adds nothing."""
+    config key whose value caused it; a None key adds nothing. Given
+    ``names``, ``key`` is their section, and only a message that begins with
+    one of them, a range check naming its value, gets ``key.`` before it."""
     try:
         yield
     except DengueWatchError as exc:
-        if key is None:
+        message = str(exc)
+        if key is None or names and message.split(" ", 1)[0] not in names:
             raise
-        raise type(exc)(f"{key}: {exc}") from None
+        raise type(exc)(f"{key}.{message}" if names else f"{key}: {message}") from None
+
+
+def _correlations(columns, incidence, max_lag: int, key) -> list:
+    """:func:`cal.best_lags` of ``columns``; the error of the first column
+    with no defined correlation is raised, under the config ``key``."""
+    results = cal.best_lags(columns, incidence, max_lag)
+    with _config_key(key):
+        for result in results:
+            if isinstance(result, CorrelationUndefinedError):
+                raise result
+    return results
 
 
 def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
@@ -111,28 +126,27 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
     incidence = cols.infected
     factors = {name: getattr(cols, name) for name in FACTORS}
 
-    correlations = {}
-    if ccfg["lags"] is not None:
-        lags = Lags(**{k: int(v) for k, v in ccfg["lags"].items()})
-        with _config_key("calibration.lags"):
-            for name, column in factors.items():
-                pair = cal.lagged_pair(column, incidence, getattr(lags, name))
-                correlations[name] = cal.pearson(*pair)
-    else:
-        results = cal.best_lags(factors.values(), incidence, max_lag)
-        for result in results:  # the first failing factor, in search order
-            if isinstance(result, CorrelationUndefinedError):
-                raise result
-        correlations = {name: r.correlation for name, r in zip(factors, results)}
-        lags = Lags(*(r.lag_months for r in results))
+    # A pinned value is scored as the search scores a candidate: the column
+    # shifted by it, searched at lag 0.
+    pinned = ccfg["lags"]
+    shifts = Lags(0, 0, 0, 0) if pinned is None else Lags(**{k: int(v) for k, v in pinned.items()})
+    results = _correlations(
+        [shift(factors[name], getattr(shifts, name)) for name in FACTORS], incidence,
+        max_lag if pinned is None else 0, None if pinned is None else "calibration.lags",
+    )
+    lags = Lags(*(getattr(shifts, name) + r.lag_months for name, r in zip(FACTORS, results)))
+    correlations = {name: r.correlation for name, r in zip(FACTORS, results)}
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
         with _config_key("calibration.rainfall_cutoffs"):
             rainfall_mf_from_cutoffs(r_min, r_max)  # its range check, before any correlation
-            band = cal.band_indicator(factors["rain"], r_min, r_max)
-            r = cal.pearson(*cal.lagged_pair(band, incidence, lags.rain))
-        cutoffs = cal.CutoffResult(r_min, r_max, r)
+        rain = factors["rain"]
+        band = np.where(np.isnan(rain), np.nan, (rain >= r_min) & (rain <= r_max))
+        (result,) = _correlations(
+            [shift(band, lags.rain)], incidence, 0, "calibration.rainfall_cutoffs"
+        )
+        cutoffs = cal.CutoffResult(r_min, r_max, result.correlation)
     else:
         cutoffs = cal.rainfall_cutoffs(
             factors["rain"], incidence, lags.rain, ccfg["grid_step"]
@@ -172,10 +186,12 @@ def membership_functions(cfg: dict, cutoffs, mobility_c: float) -> MembershipFun
 def detect(panel: Panel, cfg: dict, calibration: Calibration):
     """Objective space plus flagged months for the target region."""
     rcfg = cfg["risk"]
-    series = objective_space(
-        panel, calibration, cfg["region"], float(rcfg["r_ideal"]), float(rcfg["l_ideal"])
-    )
-    flagged = pareto.detect_outbreaks(series, cfg["detection"]["rank_threshold"])
+    with _config_key("risk", "r_ideal", "l_ideal"):
+        series = objective_space(
+            panel, calibration, cfg["region"], float(rcfg["r_ideal"]), float(rcfg["l_ideal"])
+        )
+    with _config_key("detection", "rank_threshold"):
+        flagged = pareto.detect_outbreaks(series, cfg["detection"]["rank_threshold"])
     return series, flagged
 
 
@@ -184,9 +200,10 @@ def run_baseline(panel: Panel, cfg: dict, calibration: Calibration):
     design, response, months = bl.build_design(panel, calibration.lags, region)
     coeffs = bl.fit_ols(design, response)
     fitted = bl.fitted_values(coeffs, design)
-    predicted = bl.predict_and_extract(
-        coeffs, design, months, cfg["baseline"]["threshold_quantile"]
-    )
+    with _config_key("baseline", "threshold_quantile"):
+        predicted = bl.predict_and_extract(
+            coeffs, design, months, cfg["baseline"]["threshold_quantile"]
+        )
     return coeffs, months, fitted, predicted
 
 
@@ -212,7 +229,8 @@ def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
     window = ecfg["match_window"]
     payload = {"span": {"start": str(span[0]), "end": str(span[1])}, "match_window": window}
     for name, months_predicted in predicted.items():
-        payload[name] = asdict(score(inside(months_predicted), actual, span, window))
+        with _config_key("evaluation", "match_window"):
+            payload[name] = asdict(score(inside(months_predicted), actual, span, window))
     return payload
 
 

@@ -207,11 +207,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"detection": {"rank_threshold": 0}}, "rank_threshold must be >= 1, got 0"),
+            ({"risk": {"r_ideal": 1.5}}, "risk.r_ideal must lie in (0, 1], got 1.5"),
+            ({"risk": {"l_ideal": 0.0}}, "risk.l_ideal must lie in (0, 1], got 0.0"),
+            ({"detection": {"rank_threshold": 0}},
+             "detection.rank_threshold must be >= 1, got 0"),
             ({"baseline": {"threshold_quantile": 1.5}},
-             "threshold_quantile must lie in (0, 1), got 1.5"),
-            ({"evaluation": {"match_window": -1}}, "match_window must be >= 0, got -1"),
+             "baseline.threshold_quantile must lie in (0, 1), got 1.5"),
+            ({"evaluation": {"match_window": -1}},
+             "evaluation.match_window must be >= 0, got -1"),
         ],
+        ids=["r_ideal", "l_ideal", "rank_threshold", "threshold_quantile", "match_window"],
     )
     def test_range_checks_stay_at_run_time(self, workspace, capsys, overrides, message):
         tmp_path, data, _ = workspace
@@ -220,6 +225,18 @@ class TestConfigValidation:
         code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
         assert code == 1
         assert err == f"error: {message}\n"
+
+    def test_evaluate_names_the_match_window_key(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "range.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, evaluation={"match_window": -1})))
+        code, _, err = run(
+            capsys, "--config", str(cfg_path), "evaluate", "--out", str(tmp_path / "ev"),
+            "--predictions", str(data / "outbreaks.csv"), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert code == 1
+        assert err == "error: evaluation.match_window must be >= 0, got -1\n"
+        assert not (tmp_path / "ev").exists()
 
     LAGS = {"rain": 500, "temp": 3, "humid": 2, "mobility": 1}
 

@@ -1,6 +1,7 @@
 """Metamorphic relations of whole runs: ``report`` through ``cli.main`` in
-process on the quick-start panel, noiseless (seed 1) and at noise_scale 0.05
-(seed 3), against the same run on transformed input files.
+process on the quick-start panel, noiseless (seed 1) and at noise_scale 0.01
+(seed 1) and 0.05 (seed 3), against the same run on transformed input files
+or with a changed config.
 
 - Shuffling the data rows of every input CSV changes no artifact byte.
 - Multiplying incidence, susceptible and population by 2**3 changes no
@@ -8,11 +9,20 @@ process on the quick-start panel, noiseless (seed 1) and at noise_scale 0.05
   same and the fitted incidence scales by 8. Every ratio the model reads
   (S/N, I/I_peak, I/N behind the mobility weights) and every correlation is
   unchanged, and a power of two scales a float exactly.
+- Pinning in the config the lags, the rainfall band, or both with the
+  exponents and the mobility normalizer, each as the run's
+  ``calibration.json`` gives it, changes no artifact byte: a pinned value is
+  scored as the search scores the candidate it found.
+- Moving every month of every input CSV 30 years later changes no artifact
+  byte once every month in the artifacts is moved back: the model reads
+  months only through their order and distance.
 """
 
 import csv
+import json
 import math
 import random
+import re
 
 import pytest
 import yaml
@@ -28,9 +38,14 @@ ARTIFACTS = ("calibration.json", "risk.csv", "flagged.csv", "objective_space.svg
              "baseline.csv", "evaluation.json")
 
 
-def report(root, data, name):
-    """The artifacts of ``report`` on the panel in ``data``, by file name."""
-    cfg = {"inputs": {stem: str(data / f"{stem}.csv") for stem in INPUT_VARIABLES}}
+#: A YYYY-MM month, the only form a month takes in the inputs and artifacts.
+MONTH = re.compile(r"\b(\d{4})-(\d{2})\b")
+
+
+def report(root, data, name, **sections):
+    """The artifacts of ``report`` on the panel in ``data``, by file name,
+    with the config ``sections`` beside its inputs."""
+    cfg = {"inputs": {stem: str(data / f"{stem}.csv") for stem in INPUT_VARIABLES}, **sections}
     cfg["inputs"]["mobility"] = str(data / "mobility.csv")
     cfg["inputs"]["actual_outbreaks"] = str(data / "outbreaks.csv")
     cfg_path = root / f"{name}.yaml"
@@ -54,7 +69,14 @@ def rewrite(src, dst, stems, change):
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-@pytest.fixture(scope="module", params=[(0.0, 1), (0.05, 3)], ids=["noiseless", "noisy"])
+def moved(text, years):
+    """``text`` with every YYYY-MM month in it moved by ``years``."""
+    return MONTH.sub(lambda m: f"{int(m[1]) + years:04d}-{m[2]}", text)
+
+
+@pytest.fixture(
+    scope="module", params=[(0.0, 1), (0.01, 1), (0.05, 3)], ids=["noiseless", "low", "noisy"]
+)
 def panel(request, tmp_path_factory):
     """The root, the panel's directory and the artifacts of its report."""
     noise_scale, seed = request.param
@@ -95,3 +117,32 @@ def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
     for (t, d, flag), (t8, d8, flag8) in zip(rows[0][1:], rows[1][1:]):
         assert (t8, flag8) == (t, flag)
         assert math.isclose(float(d8), 8 * float(d), rel_tol=1e-10, abs_tol=0.0), t
+
+
+@pytest.mark.parametrize("pinned", ["lags", "cutoffs", "all"])
+def test_pinning_the_values_found_changes_no_byte(panel, pinned):
+    root, data, original = panel
+    found = json.loads(original["calibration.json"])
+    band = [found["rainfall_cutoffs"]["r_min"], found["rainfall_cutoffs"]["r_max"]]
+    sections = {
+        "lags": {"calibration": {"lags": found["lags"]}},
+        "cutoffs": {"calibration": {"rainfall_cutoffs": band}},
+        "all": {
+            "calibration": {"lags": found["lags"], "rainfall_cutoffs": band,
+                            "exponents": found["exponents"]},
+            "risk": {"mobility_c": found["mobility_c"]},
+        },
+    }[pinned]
+    assert report(root, data, f"pinned-{pinned}", **sections) == original
+
+
+def test_dates_thirty_years_later_change_no_byte(panel):
+    root, data, original = panel
+
+    def later(rows):
+        return [[moved(cell, 30) for cell in row] for row in rows]
+
+    rewrite(data, root / "later", INPUTS, later)
+    shifted = report(root, root / "later", "later-report")
+    assert shifted["risk.csv"] != original["risk.csv"]
+    assert {f: moved(b.decode(), -30).encode() for f, b in shifted.items()} == original
