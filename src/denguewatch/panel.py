@@ -5,12 +5,20 @@ read-only float64 array, and W one read-only (n, n) array. A missing month is
 NaN; downstream stages decide how to handle it (correlations pairwise-delete,
 risk composition skips the month). Each input CSV is read once and parsed
 column by column, into one array per file of which every series is a view.
+
+A plain file (printable ASCII without ``"``, LF or CRLF line ends, lines
+within the csv module's field limit and even enough that fixed-width columns
+stay within a few times the file's size) is split into columns by numpy over
+its bytes. Any other file, with quoted fields, non-ASCII text, tabs or other
+control bytes, goes through the csv module. One set of column checks follows
+either, so a file's values and error messages do not depend on which it took.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
 import re
@@ -169,7 +177,8 @@ class MobilityMatrix:
     def from_pairs(cls, pairs: Mapping) -> "MobilityMatrix":
         """W from ``{(from, to): weight}``; regions sorted."""
         sources, targets = zip(*pairs) if pairs else ((), ())
-        return cls._scatter(*_pair_keys(sources, targets), list(pairs.values()))
+        keys = _pair_keys(np.array(sources, dtype=object), np.array(targets, dtype=object))
+        return cls._scatter(*keys, list(pairs.values()))
 
     @classmethod
     def _scatter(cls, regions: list, keys: np.ndarray, weights) -> "MobilityMatrix":
@@ -179,15 +188,20 @@ class MobilityMatrix:
         return cls(tuple(regions), w.reshape(len(regions), len(regions)))
 
 
-def _codes(names, index: dict) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+def _unique(column, **kwargs):
+    """``np.unique(column, **kwargs)``; fields of up to 8 bytes sort, several
+    times faster, as the big-endian integers they spell when zero-padded."""
+    if column.dtype.kind == "S" and column.dtype.itemsize <= 8:
+        distinct, *rest = np.unique(column.astype("S8").view(">u8"), **kwargs)
+        return (distinct.view("S8"), *rest)
+    return np.unique(column, **kwargs)
 
 
 def _pair_keys(sources, targets):
     """Sorted region names, and ``i * n + j`` for each pair's W row and column."""
-    regions = sorted({*sources, *targets})
-    index = {r: k for k, r in enumerate(regions)}
-    return regions, _codes(sources, index) * len(regions) + _codes(targets, index)
+    regions, inverse = _unique(np.concatenate((sources, targets)), return_inverse=True)
+    n = len(sources)
+    return _texts(regions), inverse[:n] * len(regions) + inverse[n:]
 
 
 @dataclass(frozen=True)
@@ -227,20 +241,30 @@ MOBILITY_HEADER = ["from", "to", "weight"]
 # Rows are read in blocks, not all at once: fewer live row lists for the
 # garbage collector to scan, and a lower peak RSS on large files.
 _BLOCK_ROWS = 4096
+# The bytes of a plain file: printable ASCII except the quote, and line ends.
+_PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
 
-def read_csv(path):
-    """Yield a CSV file's rows in blocks, the header first; lines count rows
-    from 1. A missing or empty file, or a read fault (bytes that are not
-    UTF-8, a row the CSV reader rejects), raises a one-line error naming the
-    file, after the rows read before the fault."""
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``, read once."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     if path.is_dir():
         raise FileNotFoundError(f"not a file: {path}")
-    count, block = 0, range(_BLOCK_ROWS)
-    with open(path, newline="", encoding="utf-8") as fh:
+    return path.read_bytes()
+
+
+def read_csv(path, raw: Optional[bytes] = None):
+    """Yield the rows of a CSV file, or of ``raw``, the bytes read from it, in
+    blocks, the header first; lines count rows from 1. A missing or empty
+    file, or a read fault (bytes that are not UTF-8, a row the CSV reader
+    rejects), raises a one-line error naming the file, after the rows read
+    before the fault."""
+    raw = _read(path) if raw is None else raw
+    path, count, block = Path(path), 0, range(_BLOCK_ROWS)
+    # Decoded as it is read, as a file is: a fault comes after the rows before it
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         while len(block) == _BLOCK_ROWS:
             block, fault = [], None
@@ -266,15 +290,19 @@ def write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _columns(path, header: list, empty_ok: bool = False):
-    """The stripped fields of the non-blank rows after the ``header`` row, as
-    three columns; each row's line number; and the error for the row they end
-    before, the first not of three fields or a read fault. Nothing after the
-    header is an error unless ``empty_ok``."""
-    blocks = read_csv(path)
-    rows = next(blocks)
-    if [c.strip().lower() for c in rows[0]] != header:
+def _check_header(path, fields, header: list) -> None:
+    if [f.strip().lower() for f in fields] != header:
         raise IngestionError(f"{path}: line 1: expected header {','.join(header)!r}")
+
+
+def _csv_tokens(path, raw: bytes, header: list):
+    """The rows after the ``header`` row, by the csv module: each row's line
+    number, its stripped fields as three columns of str, and the error for
+    the row they end before, the first not of three fields or a read fault.
+    A blank row of other than three fields is three empty ones."""
+    blocks = read_csv(path, raw)
+    rows = next(blocks)
+    _check_header(path, rows[0], header)
     columns, error, taken = [[], [], []], None, 0
     try:
         for rows in itertools.chain([rows[1:]], blocks):
@@ -283,7 +311,7 @@ def _columns(path, header: list, empty_ok: bool = False):
                     error = IngestionError(f"{path}: line {taken + k + 2}: expected 3 fields")
                     del rows[k:]
                     break
-                rows[k] = ("", "", "")  # blank, so dropped below
+                rows[k] = ("", "", "")  # blank, so dropped by _columns
             for i, column in enumerate(columns):
                 column.extend([row[i].strip() for row in rows])
             taken += len(rows)
@@ -291,32 +319,104 @@ def _columns(path, header: list, empty_ok: bool = False):
                 break
     except IngestionError as exc:  # a read fault
         error = exc
-    if not (taken or error or empty_ok):
+    return np.arange(2, taken + 2), [np.array(c, dtype=object) for c in columns], error
+
+
+def _plain_tokens(path, raw: bytes, header: list):
+    """:func:`_csv_tokens` of a plain file, by numpy over its bytes, with
+    columns of bytes; None for any other file. A plain file is printable
+    ASCII without ``"``, its lines end in LF or CRLF and none is longer than
+    the csv module's field limit, and its fields padded to one width per
+    column take at most 4 times its size (or 1 MiB)."""
+    if not raw or raw.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    lf = np.flatnonzero(buf == 10)
+    crlf = buf[np.maximum(lf, 1) - 1] == 13  # a LF at 0 reads itself, not a CR
+    if raw.count(b"\r") != np.count_nonzero(crlf):  # a CR not before a LF
+        return None
+    starts, ends = np.append(0, lf + 1), np.append(lf - crlf, len(buf))
+    if starts[-1] == len(buf):  # nothing after the last line end
+        starts, ends = starts[:-1], ends[:-1]
+    widest = int((ends - starts).max())
+    if widest > csv.field_size_limit() or len(ends) * widest > max(4 * len(raw), 1 << 20):
+        return None
+    _check_header(path, raw[: ends[0]].decode().split(","), header)
+    starts, ends = starts[1:], ends[1:]
+    commas = np.append(np.flatnonzero(buf == 44), [0, 0])  # padded for a line without
+    first = np.searchsorted(commas[:-2], starts)
+    three = np.searchsorted(commas[:-2], ends) - first == 2
+    error = None
+    for k in np.flatnonzero(~three).tolist():
+        if raw[starts[k] : ends[k]].strip(b" ,"):  # a field not blank
+            error = IngestionError(f"{path}: line {k + 2}: expected 3 fields")
+            starts, ends, first, three = starts[:k], ends[:k], first[:k], three[:k]
+            break
+    one, two = commas[first], commas[first + 1]
+    windows = np.lib.stride_tricks.as_strided(
+        np.concatenate((buf, np.zeros(widest, np.uint8))), (len(buf) + 1, widest), (1, 1),
+        writeable=False,
+    )
+    columns = [
+        _fixed(windows, lo, np.where(three, hi, lo))  # blank rows: three empty fields
+        for lo, hi in ((starts, one), (one + 1, two), (two + 1, ends))
+    ]
+    if b" " in raw:
+        columns = [np.char.strip(column) for column in columns]
+    return np.arange(2, len(starts) + 2), columns, error
+
+
+def _fixed(windows, lo, hi) -> np.ndarray:
+    """The bytes ``lo[i]:hi[i]`` of each row ``i`` as one fixed-width array,
+    from ``windows``, whose row ``k`` holds the bytes from ``k`` on."""
+    width = max(int((hi - lo).max(initial=0)), 1)
+    chars = windows[lo, :width]
+    chars[np.arange(width) >= (hi - lo)[:, None]] = 0  # the padding numpy strips
+    return chars.view(f"S{width}").ravel()
+
+
+def _empty(column) -> np.ndarray:
+    return column == (b"" if column.dtype.kind == "S" else "")
+
+
+def _texts(column) -> list:
+    """The fields of a column of bytes or of str, as str."""
+    return (column.astype("U") if column.dtype.kind == "S" else column).tolist()
+
+
+def _columns(path, header: list, empty_ok: bool = False):
+    """The stripped fields of the non-blank rows after the ``header`` row, as
+    three columns; each row's line number; and the error for the row they end
+    before, the first not of three fields or a read fault. Nothing after the
+    header is an error unless ``empty_ok``. A plain file's columns hold
+    bytes, any other file's str."""
+    raw = _read(path)
+    lines, columns, error = _plain_tokens(path, raw, header) or _csv_tokens(path, raw, header)
+    if not (len(lines) or error or empty_ok):
         raise IngestionError(f"{path}: no data rows")
-    keep = np.ones(taken, bool)
-    if "" in columns[0]:  # a blank row has an empty first field
-        keep[:] = [any(fields) for fields in zip(*columns)]
-        columns = [list(itertools.compress(c, keep)) for c in columns]
-    return np.flatnonzero(keep) + 2, columns, error
+    keep = ~(_empty(columns[0]) & _empty(columns[1]) & _empty(columns[2]))
+    return lines[keep], [column[keep] for column in columns], error
 
 
-def _parsed(texts, parse, failed, dtype=float) -> np.ndarray:
-    """``parse(text)`` of each distinct text, or ``failed`` where it raises."""
-    table = dict.fromkeys(texts, failed)
-    for text in table:
+def _parsed(column, parse, failed, dtype=float) -> np.ndarray:
+    """``parse(text)`` of each text of ``column``, called once per distinct
+    text, or ``failed`` where it raises."""
+    distinct, inverse = _unique(column, return_inverse=True)
+    table = []
+    for text in _texts(distinct):
         try:
-            table[text] = parse(text)
+            table.append(parse(text))
         except (ValueError, IngestionError):
-            pass
-    return np.fromiter(map(table.__getitem__, texts), dtype, len(texts))
+            table.append(failed)
+    return np.array(table, dtype)[inverse]
 
 
-def _floats(texts) -> np.ndarray:
-    """``float(text)`` of each text; NaN where float() rejects it."""
+def _floats(column) -> np.ndarray:
+    """``float(text)`` of each text of ``column``; NaN where float() rejects it."""
     try:
-        return np.fromiter(map(float, texts), float, len(texts))
+        return column.astype(float)
     except ValueError:
-        return _parsed(texts, float, math.nan)
+        return _parsed(column, float, math.nan)
 
 
 def _check_rows(path, lines, columns, error, n, keys, word) -> None:
@@ -330,7 +430,7 @@ def _check_rows(path, lines, columns, error, n, keys, word) -> None:
             break
         seen.add(keys[k])
     if n < len(lines):
-        raise IngestionError(f"{path}: line {lines[n]}: {word(*(c[n] for c in columns))}")
+        raise IngestionError(f"{path}: line {lines[n]}: {word(*(_texts(c[n : n + 1])[0] for c in columns))}")
     if error is not None:
         raise error
 
@@ -359,14 +459,16 @@ def load_series_table(path, variable: Variable) -> dict:
     lines, columns, error = _columns(path, SERIES_HEADER)
     regions, dates, texts = columns
     t = _parsed(dates, lambda text: MonthIndex.parse(text).ordinal, -1, np.intp)
-    values = _floats([text or "nan" for text in texts])  # empty: a missing month
-    bad = (t < 0) | np.isinf(values)
-    for k in np.flatnonzero(np.isnan(values)).tolist():
-        bad[k] |= texts[k] != ""
+    given = ~_empty(texts)  # an empty value is a missing month
+    values = np.full(len(texts), np.nan)
+    values[given] = _floats(texts[given])
+    bad = (t < 0) | np.isinf(values) | given & np.isnan(values)
     n = int(bad.argmax()) if bad.any() else len(bad)
-    index = {r: k for k, r in enumerate(dict.fromkeys(regions[:n]))}
-    rid, t = _codes(regions[:n], index), t[:n]
-    lo, hi = np.full(len(index), t.max(initial=0)), np.full(len(index), -1)
+    distinct, first, rid = _unique(regions[:n], return_index=True, return_inverse=True)
+    order = first.argsort()  # the regions in order of first appearance
+    names = _texts(distinct[order])
+    rid, t = order.argsort()[rid], t[:n]
+    lo, hi = np.full(len(names), t.max(initial=0)), np.full(len(names), -1)
     np.minimum.at(lo, rid, t)
     np.maximum.at(hi, rid, t)
     offsets = np.concatenate(([0], np.cumsum(hi - lo + 1)))  # region k: months lo..hi
@@ -379,7 +481,7 @@ def load_series_table(path, variable: Variable) -> dict:
         return {
             region: MonthlySeries(region, variable, MonthIndex.from_ordinal(int(lo[k])),
                                   flat[offsets[k] : offsets[k + 1]])
-            for k, region in enumerate(index)
+            for k, region in enumerate(names)
         }
     except ParameterError as exc:
         raise IngestionError(f"{path}: {exc}") from None

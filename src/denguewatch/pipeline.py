@@ -19,7 +19,8 @@ from . import baseline as bl
 from . import calibrate as cal
 from . import pareto
 from .errors import (
-    ConfigError, CorrelationUndefinedError, DengueWatchError, PipelineError, UsageError,
+    ConfigError, CorrelationUndefinedError, DengueWatchError, ParameterError, PipelineError,
+    UsageError,
 )
 from .evaluation import OutbreakCalendar, load_calendar, score
 from .fuzzy import (
@@ -221,6 +222,9 @@ def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
             span.append(infer(every))
         else:
             raise PipelineError("cannot infer an evaluation span from empty month sets")
+    if span[1] < span[0]:  # so a bound is set: two inferred ones are in order
+        keys = [f"evaluation.{key}" for key in ("span_start", "span_end") if ecfg[key] is not None]
+        raise ParameterError(f"{', '.join(keys)}: invalid span {span[0]}..{span[1]}")
 
     def inside(months):
         return [t for t in months if span[0] <= t <= span[1]]

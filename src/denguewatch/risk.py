@@ -116,19 +116,26 @@ class TargetColumns:
     def __post_init__(self):  # shared by every stage of a run, which only reads them
         for f in fields(self)[:-1]:  # the arrays, not mobility_pad
             getattr(self, f.name).flags.writeable = False
+        object.__setattr__(self, "_inputs", {})  # lags -> inputs(lags)
 
     def inputs(self, lags: Lags) -> tuple:
         """Each month t's model inputs: rain, temp, humid and R_mob at t
-        minus their lag, then I, S and N at t - 1."""
-        return (
-            shift(self.rain, lags.rain),
-            shift(self.temp, lags.temp),
-            shift(self.humid, lags.humid),
-            shift(self.mobility, lags.mobility, self.mobility_pad),
-            shift(self.infected, 1),
-            shift(self.susceptible, 1),
-            shift(self.population, 1),
-        )
+        minus their lag, then I, S and N at t - 1; read-only arrays, built
+        once per lags for every stage that shares the columns."""
+        inputs = self._inputs.get(lags)
+        if inputs is None:
+            inputs = self._inputs[lags] = (
+                shift(self.rain, lags.rain),
+                shift(self.temp, lags.temp),
+                shift(self.humid, lags.humid),
+                shift(self.mobility, lags.mobility, self.mobility_pad),
+                shift(self.infected, 1),
+                shift(self.susceptible, 1),
+                shift(self.population, 1),
+            )
+            for column in inputs:
+                column.flags.writeable = False
+        return inputs
 
 
 def _column(panel: Panel, region: str, variable: Variable) -> np.ndarray:

@@ -238,6 +238,41 @@ class TestConfigValidation:
         assert err == "error: evaluation.match_window must be >= 0, got -1\n"
         assert not (tmp_path / "ev").exists()
 
+    # The modelled months run 2012-04..2019-12 and the planted ones 2012-11..2018-06.
+    @pytest.mark.parametrize(
+        "evaluation, message",
+        [
+            ({"span_start": "2016-06", "span_end": "2014-01"},
+             "evaluation.span_start, evaluation.span_end: invalid span 2016-06..2014-01"),
+            ({"span_start": "2025-01"}, "evaluation.span_start: invalid span 2025-01..2019-12"),
+            ({"span_end": "2010-01"}, "evaluation.span_end: invalid span 2012-04..2010-01"),
+        ],
+        ids=["both", "start", "end"],
+    )
+    def test_an_inverted_span_names_its_keys(self, workspace, capsys, evaluation, message):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "span.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, evaluation=evaluation)))
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+    def test_evaluate_names_the_span_keys(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "span.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            synth_config(data, evaluation={"span_start": "2018-07", "span_end": "2018-06"})
+        ))
+        code, _, err = run(
+            capsys, "--config", str(cfg_path), "evaluate", "--out", str(tmp_path / "ev"),
+            "--predictions", str(data / "outbreaks.csv"), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert (code, err) == (
+            1, "error: evaluation.span_start, evaluation.span_end: invalid span 2018-07..2018-06\n"
+        )
+        assert not (tmp_path / "ev").exists()
+
     LAGS = {"rain": 500, "temp": 3, "humid": 2, "mobility": 1}
 
     @pytest.mark.parametrize(

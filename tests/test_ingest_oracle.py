@@ -7,12 +7,15 @@ same message. The corpus mixes valid rows with every kind of bad row, so the
 first bad line in file order decides the message.
 """
 
+import csv
 import functools
 import os
 import random
 import threading
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -68,23 +71,23 @@ def month_text(rng, ordinal):
     return f" {text} " if rng.random() < 0.05 else text
 
 
-def with_errors(rng, rows, bad_rows):
+def with_errors(rng, rows, bad_rows, blanks=SPECIAL_ROWS):
     """``rows`` shuffled, with blank rows and, in half the files, 1-3 bad
     rows at random places."""
-    rows = rows + [rng.choice(SPECIAL_ROWS) for _ in range(rng.randint(0, 3))]
+    rows = rows + [rng.choice(blanks) for _ in range(rng.randint(0, 3))]
     if rng.random() < 0.5:
         rows += [bad_rows(rng, rows) for _ in range(rng.randint(1, 3))]
     rng.shuffle(rows)
     return rows
 
 
-def bad_series_row(rng, rows):
+def bad_series_row(rng, rows, pools=(REGIONS, DATES, VALUES)):
     choice = rng.randrange(4)
     if choice == 0 and any(r.count(",") == 2 for r in rows):  # duplicate
         return rng.choice([r for r in rows if r.count(",") == 2])
     if choice == 1:  # short or long row
         return rng.choice(["WP,2010-01", "WP,2010-01,1,2", "WP"])
-    return ",".join([rng.choice(REGIONS), rng.choice(DATES), rng.choice(VALUES)])
+    return ",".join(rng.choice(pool) for pool in pools)
 
 
 def series_rows(rng):
@@ -97,13 +100,13 @@ def series_rows(rng):
     return with_errors(rng, rows, bad_series_row)
 
 
-def bad_mobility_row(rng, rows):
+def bad_mobility_row(rng, rows, pools=(REGIONS, REGIONS, WEIGHTS)):
     choice = rng.randrange(4)
     if choice == 0 and any(r.count(",") == 2 for r in rows):
         return rng.choice([r for r in rows if r.count(",") == 2])
     if choice == 1:
         return rng.choice(["A,B", "A,B,1,2", "A"])
-    return ",".join([rng.choice(REGIONS), rng.choice(REGIONS), rng.choice(WEIGHTS)])
+    return ",".join(rng.choice(pool) for pool in pools)
 
 
 def mobility_rows(rng):
@@ -319,7 +322,7 @@ class TestReadFaults:
         assert outcome(load, path) == ("raised", IngestionError, f"{path}: {message}")
 
 
-def fuzz_rows(regions, dates, values):
+def fuzz_rows(regions, dates, values, blanks=SPECIAL_ROWS):
     field_lists = st.lists(
         st.one_of(st.sampled_from(regions), st.sampled_from(dates), st.sampled_from(values)),
         min_size=0,
@@ -328,7 +331,7 @@ def fuzz_rows(regions, dates, values):
     row = st.one_of(
         st.tuples(st.sampled_from(regions), st.sampled_from(dates), st.sampled_from(values)),
         field_lists,
-        st.sampled_from(SPECIAL_ROWS),
+        st.sampled_from(blanks),
     )
     return st.lists(row.map(lambda r: r if isinstance(r, str) else ",".join(r)), max_size=30)
 
@@ -347,3 +350,261 @@ class TestFuzzedCorpus:
     @given(st.sampled_from(MOBILITY_HEADERS), fuzz_rows(REGIONS, REGIONS, WEIGHTS))
     def test_mobility(self, tmp_path, header, rows):
         assert_same_mobility(write(tmp_path / "m.csv", header, rows))
+
+
+# Plain files (printable ASCII without quotes, LF or CRLF line ends) are
+# tokenised with numpy and never reach the csv module.
+
+PLAIN_REGIONS = ["WP", "NB", "wp", "R1", ""]
+PLAIN_DATES = [
+    "2010-01", "2010-02", "2010-03", "2010-05", "2009-12", "2010-13", "2010-00",
+    "201X-01", "2010-1", "10-01", "", "2010-01x",
+]
+PLAIN_VALUES = [
+    "1.5", "0", "2", "-3", "", "nan", "-inf", "inf", "1e400", "1_000", "abc", "0x10",
+    "1e-300", "+.5", "1e", "-0",
+]
+PLAIN_GOOD_VALUES = ["1.5", "0", "2", "", "1e-300", "4.25", "1_0", "7."]
+PLAIN_WEIGHTS = ["1.5", "0", "0.001", "-1", "", "nan", "inf", "1_0", "abc", "2."]
+PLAIN_BLANKS = ["", ",", ",,"]
+PLAIN_SERIES_HEADERS = ["region,date,value", "Region,DATE,value", "region,date", "date,region,value"]
+PLAIN_MOBILITY_HEADERS = ["from,to,weight", "FROM,to,Weight", "from,to"]
+
+
+def plain_series_rows(rng):
+    rows = []
+    for region in rng.sample(PLAIN_REGIONS[:4], rng.randint(1, 4)):
+        start = rng.randint(2009 * 12, 2011 * 12)
+        rows += [
+            f"{region},{t // 12:04d}-{t % 12 + 1:02d},{rng.choice(PLAIN_GOOD_VALUES)}"
+            for t in range(start, start + rng.randint(1, 24))
+            if rng.random() < 0.9
+        ]
+    bad = functools.partial(bad_series_row, pools=(PLAIN_REGIONS, PLAIN_DATES, PLAIN_VALUES))
+    return with_errors(rng, rows, bad, PLAIN_BLANKS)
+
+
+def plain_mobility_rows(rng):
+    names = rng.sample(["A", "B", "C", "D", "e", "F1"], rng.randint(1, 6))
+    pairs = [(i, j) for i in names for j in names if rng.random() < 0.5]
+    rows = [f"{i},{j},{rng.choice(PLAIN_WEIGHTS[:3])}" for i, j in pairs]
+    bad = functools.partial(bad_mobility_row, pools=(PLAIN_REGIONS, PLAIN_REGIONS, PLAIN_WEIGHTS))
+    return with_errors(rng, rows, bad, PLAIN_BLANKS)
+
+
+def padded(rng, rows):
+    """``rows`` with 0-2 spaces on either side of each field."""
+    def pad():
+        return " " * rng.randint(0, 2)
+    return [",".join(pad() + field + pad() for field in row.split(",")) for row in rows]
+
+
+def without_csv_reader(load, *args):
+    """``outcome(load, *args)``, failing if it calls ``csv.reader``."""
+    with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader called")) as reader:
+        result = outcome(load, *args)
+    assert not reader.called
+    return result
+
+
+def assert_plain_series(path):
+    for variable in (Variable.RAINFALL, Variable.INCIDENCE):
+        assert without_csv_reader(load_series_table, path, variable) == outcome(
+            reference_load_series_table, path, variable
+        )
+
+
+def assert_plain_mobility(path):
+    assert without_csv_reader(load_mobility, path) == outcome(reference_load_mobility, path)
+
+
+NEWLINES = pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+
+
+class TestPlainFiles:
+    """Plain files load as the reference loaders load them, with
+    ``csv.reader`` patched to raise: they never reach it."""
+
+    @NEWLINES
+    @pytest.mark.parametrize("pad", [False, True], ids=["bare", "padded"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_series(self, tmp_path, seed, pad, newline):
+        rng = random.Random(seed)
+        header = PLAIN_SERIES_HEADERS[0] if rng.random() < 0.9 else rng.choice(PLAIN_SERIES_HEADERS)
+        rows = plain_series_rows(rng)
+        rows = padded(rng, rows) if pad else rows
+        assert_plain_series(write(tmp_path / "s.csv", header, rows, newline))
+
+    @NEWLINES
+    @pytest.mark.parametrize("pad", [False, True], ids=["bare", "padded"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mobility(self, tmp_path, seed, pad, newline):
+        rng = random.Random(seed)
+        header = (
+            PLAIN_MOBILITY_HEADERS[0] if rng.random() < 0.9 else rng.choice(PLAIN_MOBILITY_HEADERS)
+        )
+        rows = plain_mobility_rows(rng)
+        rows = padded(rng, rows) if pad else rows
+        assert_plain_mobility(write(tmp_path / "m.csv", header, rows, newline))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"region,date,value",  # header only, no line end
+            b"region,date,value\r\n",  # header only
+            b"region,date,value\n\n\n",  # blank lines only
+            b"region,date,value\n,,\r\n,\n",  # blank rows of 3, 2 and 0 fields
+            b"\nregion,date,value\nWP,2010-01,1\n",  # a blank first line: no header
+            b"region,date,value\nWP,2010-01,1\nWP,2010-02,2",  # no last line end
+            b"region,date,value\nWP,2010-01,1\n,2010-02,2\n",  # an empty region
+            b"region,date,value\nWP,2010-01,1\n,,\nWP,2010-02\n,,\n",  # short row among blanks
+            b"region,date,value\nWP,2010-01,1\n,\nWP,2010-02,,\n",  # long row with an empty field
+            b"region,date,value\nWP,2010-02,1\nWP,2010-01,\nNB,2010-01,1e-320\n",
+            b"region,date,value\nWP,2010-01,1\r\n\r\nWP,2010-03,3\n",  # LF and CRLF mixed
+        ],
+    )
+    def test_series_cases(self, tmp_path, data):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        assert_plain_series(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"from,to,weight\n",  # no rows is no pair
+            b"from,to,weight\n\n,,\n",
+            b"from,to,weight\nA,B,1\nB,A,2",
+            b"from,to,weight\nA,B,1\nA,,2\n,B,3\n,,4\n",  # empty names
+            b"from,to,weight\nA,B,1\nA,B\n",
+            b"from,to,weight\nA,B,1e-400\nB,A,1.7976931348623159e308\n",
+        ],
+    )
+    def test_mobility_cases(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert_plain_mobility(path)
+
+    @pytest.mark.parametrize("bad_at", [4095, 4096, 9000])
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["WP", "WP,2030-01,1,2", "R1,1000-01,1", "WP,2030-1,1", "WP,2030-13,1", "WP,2030-01,x",
+         "WP,2030-01,inf", "WP,2030-01,-1"],
+        ids=["short", "long", "repeat", "bad-date", "month-13", "non-numeric", "non-finite",
+             "negative"],
+    )
+    def test_long_series(self, tmp_path, bad_at, bad_row):
+        """Line numbers run on past a read block's worth of rows."""
+        rows = [f"R{k % 7},{1000 + k // 84:04d}-{k // 7 % 12 + 1:02d},{k}" for k in range(10_000)]
+        rows[3000] = rows[6000] = ",,"
+        rows.insert(bad_at, bad_row)
+        assert_plain_series(write(tmp_path / "s.csv", "region,date,value", rows))
+
+    @pytest.mark.parametrize("bad_at", [4095, 4096, 9000])
+    @pytest.mark.parametrize(
+        "bad_pair",
+        ["R1,S1", "R1,S1,1,2", "R1,S1,1", "R1,S2,x", "R1,S2,nan", "R1,S2,-1", "R1,S2,"],
+        ids=["short", "long", "repeat", "non-numeric", "non-finite", "negative", "empty"],
+    )
+    def test_long_mobility(self, tmp_path, bad_at, bad_pair):
+        pairs = [f"R{k // 100},S{k % 100},{k}" for k in range(10_000)]
+        pairs.insert(bad_at, bad_pair)
+        assert_plain_mobility(write(tmp_path / "m.csv", "from,to,weight", pairs))
+
+    def test_long_files_without_a_bad_row(self, tmp_path):
+        rows = [f"R{k % 7},{1000 + k // 84:04d}-{k // 7 % 12 + 1:02d},{k}" for k in range(10_000)]
+        pairs = [f"R{k // 100},S{k % 100},{k}" for k in range(10_000)]
+        assert_plain_series(write(tmp_path / "s.csv", "region,date,value", rows, "\r\n"))
+        assert_plain_mobility(write(tmp_path / "m.csv", "from,to,weight", pairs, "\r\n"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'region,date,value\n"WP",2010-01,1\n',
+            "region,date,value\nTé,2010-01,1\n".encode(),
+            b"region,date,value\nWP\t,2010-01,1\n",
+            b"region,date,value\rWP,2010-01,1\r",
+            b"region,date,value\nWP,2010-01,1\r\nWP,2010-02,2\r",
+            b"region,date,value\nWP\x00,2010-01,1\n",
+            b"\xef\xbb\xbfregion,date,value\nWP,2010-01,1\n",
+            b"",
+            # one field so wide that padding every row to it would take
+            # more than 4 times the file and 1 MiB
+            b"region,date,value\n" + b"WP,2010-01,1\n" * 20 + b"WP,2030-01," + b"1" * 100_000,
+        ],
+        ids=["quote", "non-ascii", "tab", "cr", "last-cr", "nul", "bom", "empty", "ragged"],
+    )
+    def test_other_files_take_the_csv_module(self, tmp_path, data):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            result = outcome(SERIES, path)
+        assert reader.called
+        assert result == outcome(REFERENCE_SERIES, path)
+
+    def test_a_line_over_the_field_limit_takes_the_csv_module(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"region,date,value\nWP,2010-01,1\nWP,2010-02," + b"9" * 200_000 + b"\n")
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            result = outcome(SERIES, path)
+        assert reader.called
+        assert result == ("raised", IngestionError,
+                          f"{path}: line 3: field larger than field limit (131072)")
+
+
+class TestFuzzedPlainCorpus:
+    @FUZZ
+    @given(
+        st.sampled_from(PLAIN_SERIES_HEADERS),
+        fuzz_rows(PLAIN_REGIONS, PLAIN_DATES, PLAIN_VALUES, PLAIN_BLANKS),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_series(self, tmp_path, header, rows, newline):
+        assert_plain_series(write(tmp_path / "s.csv", header, rows, newline))
+
+    @FUZZ
+    @given(
+        st.sampled_from(PLAIN_MOBILITY_HEADERS),
+        fuzz_rows(PLAIN_REGIONS, PLAIN_REGIONS, PLAIN_WEIGHTS, PLAIN_BLANKS),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_mobility(self, tmp_path, header, rows, newline):
+        assert_plain_mobility(write(tmp_path / "m.csv", header, rows, newline))
+
+
+VALUE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: format(x, ".12g")),
+    st.from_regex(r"[+-]?[0-9_]{0,6}(\.[0-9_]{0,6})?([eE][+-]?[0-9_]{0,4})?", fullmatch=True),
+    st.text(alphabet="0123456789+-._eEinfatyINFATYx", max_size=12),
+)
+
+
+def float_bits(text):
+    """The bits of ``float(text)``, or None where float() rejects it."""
+    try:
+        return np.array([float(text)]).view(np.uint64).tolist()[0]
+    except ValueError:
+        return None
+
+
+class TestValueCast:
+    """The loaders convert a column of plain value fields with one numpy cast
+    from fixed-width bytes: each value has the exact bits of float(text),
+    and the cast fails exactly where float() fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(VALUE_TEXTS, min_size=1, max_size=8))
+    def test_cast_is_float(self, texts):
+        column = np.array([text.encode() for text in texts])
+        expected = [float_bits(text) for text in texts]
+        for field, bits in zip(column, expected):
+            if bits is None:
+                with pytest.raises(ValueError):
+                    np.array([field]).astype(float)
+            else:
+                assert np.array([field]).astype(float).view(np.uint64).tolist() == [bits]
+        if None in expected:
+            with pytest.raises(ValueError):
+                column.astype(float)
+        else:
+            assert column.astype(float).view(np.uint64).tolist() == expected

@@ -565,3 +565,23 @@ class TestSharedPerPanel:
             pipeline.run_baseline(panel, cfg, calibration)
         assert r_mob.call_count == 1
         assert mf.call_count == 4
+
+    def test_detect_and_baseline_share_one_set_of_lagged_inputs(self):
+        panel, _ = generate(SynthConfig())
+        cfg = default_config()
+        calibration = pipeline.calibrate_panel(panel, cfg)
+        built, inputs = [], risk.TargetColumns.inputs
+
+        def spy(cols, lags):
+            built.append(inputs(cols, lags))
+            return built[-1]
+
+        with mock.patch.object(risk, "shift", wraps=risk.shift) as shifted, \
+                mock.patch.object(risk.TargetColumns, "inputs", spy):
+            pipeline.detect(panel, cfg, calibration)
+            pipeline.run_baseline(panel, cfg, calibration)
+        assert len(built) == 2 and built[0] is built[1]
+        assert shifted.call_count == 7  # one per column, by whichever stage came first
+        assert all(not column.flags.writeable for column in built[0])
+        with pytest.raises(ValueError):
+            built[0][0][-1] = 1.0
