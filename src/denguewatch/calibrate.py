@@ -42,7 +42,8 @@ class CutoffResult:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson r with pairwise deletion of missing entries.
+    """Sample Pearson r with pairwise deletion of missing entries: the r of
+    :func:`best_lag` at lag 0.
 
     Accepts sequences that may contain None/NaN; requires >= 3 surviving
     pairs and nonzero variance on both sides.
@@ -51,18 +52,7 @@ def pearson(x, y) -> float:
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
         raise ParameterError(f"length mismatch: {xa.size} vs {ya.size}")
-    (r,) = _pearson_rows(xa.reshape(1, -1), ya.reshape(-1))
-    if isinstance(r, CorrelationUndefinedError):
-        raise r
-    return r
-
-
-def _pearson_rows(xs: np.ndarray, y: np.ndarray) -> list:
-    """:func:`pearson` of each row of the float array ``xs`` against ``y``;
-    where it would raise, the entry is the error it would raise. The one-lag
-    entry of :func:`_lagged_pearson`."""
-    r, count = _lagged_pearson(xs, y, 1)
-    return [_undefined(c) if v != v else v for v, c in zip(r[0].tolist(), count[0].tolist())]
+    return best_lag(xa.ravel(), ya.ravel(), 0).correlation
 
 
 def _undefined(count: int) -> CorrelationUndefinedError:
@@ -204,7 +194,8 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     Same pair as the exhaustive loop. The closed form sums in another
     order, so it is trusted only to rank. The bands reached from the best
     closed-form score through gaps of at most ``_CLUSTER_GAP`` (1e-9) are
-    re-scored with :func:`pearson`, and their pairs replayed in pair order
+    re-scored by the kernel behind :func:`pearson` (a band's closed-form
+    score is defined, so its r is), and their pairs replayed in pair order
     under the rule above. The two differ by rounding only (under 1e-13 on
     panels of up to 12,000 months, incidence like 1e8 + 1e-7*j included),
     far below the gap, so every pair outside the cluster has an r below
@@ -264,7 +255,7 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
 
     runs, bands = np.nonzero(score >= floor)
     inside = (x >= cuts[lo_first[runs], None]) & (x <= cuts[hi_last[bands], None])
-    exact = _pearson_rows(inside.astype(float), y)
+    exact = _lagged_pearson(inside.astype(float), y, 1)[0][0].tolist()
     # For one r_min a band's pairs come in a row, each a grid step wider. With
     # steps well over the tie width and the rounding of a width, once one of
     # them replaces the best the rest do too: the widest alone ends the same.

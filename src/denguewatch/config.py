@@ -8,7 +8,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, IngestionError
-from .panel import MonthIndex
+from .panel import MonthIndex, read_file
 from .risk import FACTORS
 
 
@@ -171,15 +171,11 @@ def load_config(path=None) -> dict:
     """Defaults merged with the YAML file at ``path`` (if any)."""
     if path is None:
         return default_config()
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    if path.is_dir():
-        raise FileNotFoundError(f"not a file: {path}")
+    path, raw = Path(path), read_file(path)
     import yaml  # here, not at the top: a run without a config file never loads it
 
     try:
-        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        loaded = yaml.safe_load(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:  # a ValueError, so ahead of that clause
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except yaml.MarkedYAMLError as exc:

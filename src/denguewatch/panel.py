@@ -245,7 +245,7 @@ _BLOCK_ROWS = 4096
 _PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
 
-def _read(path) -> bytes:
+def read_file(path) -> bytes:
     """The bytes of the file at ``path``, read once."""
     path = Path(path)
     if not path.exists():
@@ -260,11 +260,11 @@ def read_csv(path, raw: Optional[bytes] = None):
     blocks, the header first; lines count rows from 1. A missing or empty
     file, or a read fault (bytes that are not UTF-8, a row the CSV reader
     rejects), raises a one-line error naming the file, after the rows read
-    before the fault."""
-    raw = _read(path) if raw is None else raw
+    before the fault. One leading UTF-8 byte-order mark is skipped."""
+    raw = read_file(path) if raw is None else raw
     path, count, block = Path(path), 0, range(_BLOCK_ROWS)
     # Decoded as it is read, as a file is: a fault comes after the rows before it
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         while len(block) == _BLOCK_ROWS:
             block, fault = [], None
@@ -390,7 +390,7 @@ def _columns(path, header: list, empty_ok: bool = False):
     before, the first not of three fields or a read fault. Nothing after the
     header is an error unless ``empty_ok``. A plain file's columns hold
     bytes, any other file's str."""
-    raw = _read(path)
+    raw = read_file(path)
     lines, columns, error = _plain_tokens(path, raw, header) or _csv_tokens(path, raw, header)
     if not (len(lines) or error or empty_ok):
         raise IngestionError(f"{path}: no data rows")

@@ -166,6 +166,24 @@ class TestPearson:
         with pytest.raises(CorrelationUndefinedError):  # the mean rounds to 0.1 + 1 ulp
             pearson([0.1, 0.1, 0.1], [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            (1.0, 2.0, (CorrelationUndefinedError, "need >= 3 paired observations, got 1")),
+            (np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3) ** 2, 0.959883285288332),
+            ([1, 2, 3], [[1, 2, 3]], (ParameterError, "length mismatch: 3 vs 3")),
+            ([1, None, 3, 4, 5], [2, 3, None, 7, 11], 0.9765536333140981),
+            ([1, 2], [3, 5], (CorrelationUndefinedError, "need >= 3 paired observations, got 2")),
+            ([4, 4, 4, 4], [1, 2, 3, 5],
+             (CorrelationUndefinedError, "zero variance in at least one argument")),
+        ],
+        ids=["scalars", "2-d", "shapes-differ", "gaps", "two-pairs", "constant"],
+    )
+    def test_pinned_outcomes(self, x, y, expected):
+        """Scalars and equal-shape arrays of any rank are flattened; the
+        shapes, not the sizes, must agree."""
+        assert outcome(pearson, x, y) == expected
+
     @given(st.lists(on_grid(2**31), min_size=4, max_size=40), power_of_two, on_grid(2**31))
     @example(xs=[0.0, 0.0, 0.0, 2.4e-160], scale=0.5, shift=0.0)  # squares underflow
     @example(xs=[0.0, 0.0, 0.0, 2.220446049250313e-16], scale=1.0, shift=1.0)  # mean rounds

@@ -525,13 +525,12 @@ class TestPlainFiles:
             b"region,date,value\rWP,2010-01,1\r",
             b"region,date,value\nWP,2010-01,1\r\nWP,2010-02,2\r",
             b"region,date,value\nWP\x00,2010-01,1\n",
-            b"\xef\xbb\xbfregion,date,value\nWP,2010-01,1\n",
             b"",
             # one field so wide that padding every row to it would take
             # more than 4 times the file and 1 MiB
             b"region,date,value\n" + b"WP,2010-01,1\n" * 20 + b"WP,2030-01," + b"1" * 100_000,
         ],
-        ids=["quote", "non-ascii", "tab", "cr", "last-cr", "nul", "bom", "empty", "ragged"],
+        ids=["quote", "non-ascii", "tab", "cr", "last-cr", "nul", "empty", "ragged"],
     )
     def test_other_files_take_the_csv_module(self, tmp_path, data):
         path = tmp_path / "s.csv"
@@ -539,6 +538,26 @@ class TestPlainFiles:
         with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
             result = outcome(SERIES, path)
         assert reader.called
+        assert result == outcome(REFERENCE_SERIES, path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"region,date,value\nWP,2010-01,1\n",
+            b"Region, DATE ,value\r\nWP,2010-01,1\r\nWP,2010-03,x\r\n",
+            b'"region","date","value"\n"WP","2010-01","1"\n"WP","2010-02",""\n',
+        ],
+        ids=["plain", "bad-row", "quoted"],
+    )
+    def test_a_leading_bom_is_skipped(self, tmp_path, data):
+        """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV
+        UTF-8" writes one, loads through the csv module as it does without."""
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            result = outcome(SERIES, path)
+        assert reader.called
+        path.write_bytes(data)
         assert result == outcome(REFERENCE_SERIES, path)
 
     def test_a_line_over_the_field_limit_takes_the_csv_module(self, tmp_path):

@@ -16,6 +16,11 @@ or with a changed config.
 - Moving every month of every input CSV 30 years later changes no artifact
   byte once every month in the artifacts is moved back: the model reads
   months only through their order and distance.
+- Writing every input CSV with every field quoted and CRLF line ends, as R's
+  ``write.csv`` writes it, changes no artifact byte; so does a UTF-8
+  byte-order mark at the start of every input CSV, as Excel's "CSV UTF-8"
+  writes it. Either sends each file through the csv module, not the
+  tokeniser of plain files.
 """
 
 import csv
@@ -56,17 +61,18 @@ def report(root, data, name, **sections):
     return {fname: (out / fname).read_bytes() for fname in ARTIFACTS}
 
 
-def rewrite(src, dst, stems, change):
+def rewrite(src, dst, stems=(), change=None, encoding="utf-8", **dialect):
     """Copy every input CSV from ``src`` to ``dst``, passing the data rows of
-    those in ``stems`` through ``change``."""
+    those in ``stems`` through ``change``; written in ``encoding`` by a
+    ``csv.writer`` with LF line ends unless ``dialect`` says otherwise."""
     dst.mkdir()
     for stem in INPUTS:
         with open(src / f"{stem}.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         if stem in stems:
             rows = change(rows)
-        with open(dst / f"{stem}.csv", "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        with open(dst / f"{stem}.csv", "w", newline="", encoding=encoding) as fh:
+            csv.writer(fh, **{"lineterminator": "\n", **dialect}).writerows([header, *rows])
 
 
 def moved(text, years):
@@ -146,3 +152,17 @@ def test_dates_thirty_years_later_change_no_byte(panel):
     shifted = report(root, root / "later", "later-report")
     assert shifted["risk.csv"] != original["risk.csv"]
     assert {f: moved(b.decode(), -30).encode() for f, b in shifted.items()} == original
+
+
+def test_quoted_fields_and_crlf_change_no_byte(panel):
+    root, data, original = panel
+    rewrite(data, root / "quoted", quoting=csv.QUOTE_ALL, lineterminator="\r\n")
+    assert (root / "quoted" / "mobility.csv").read_bytes().startswith(b'"from","to","weight"\r\n')
+    assert report(root, root / "quoted", "quoted-report") == original
+
+
+def test_a_leading_byte_order_mark_changes_no_byte(panel):
+    root, data, original = panel
+    rewrite(data, root / "bom", encoding="utf-8-sig")
+    assert (root / "bom" / "outbreaks.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert report(root, root / "bom", "bom-report") == original

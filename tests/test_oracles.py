@@ -3,15 +3,12 @@
 offsets of 1e8, scales of 1e-8 and 1e8, fewer than three months, no factor
 rows at all, and spikes in the first and last month."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from denguewatch import calibrate
 from denguewatch.baseline import GlmCoefficients, predict_and_extract
 from denguewatch.calibrate import (
-    _pearson_rows,
+    LagResult,
     best_lags,
     estimate_exponents,
     exponents_from_correlations,
@@ -50,6 +47,12 @@ def outcome(fn, *args):
 def entries(results):
     """A row pass's entries, with each error as its type and message."""
     return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
+
+
+def at_lag_zero(results):
+    """A row pass's results as best_lags(rows, y, 0) gives them: each r as a
+    LagResult at lag 0, each error as it is."""
+    return [r if isinstance(r, Exception) else LagResult(0, r) for r in results]
 
 
 def apply_kind(kind, rng, rows, inc):
@@ -99,16 +102,15 @@ class TestCorrelationPass:
             n = inc.size
             for k in range(min(7, n) + 1):
                 xk, yk = xs[:, : n - k], inc[k:]
-                got, expected = _pearson_rows(xk, yk), reference_pearson_rows(xk, yk)
-                assert entries(got) == entries(expected), (seed, k)
+                got, expected = best_lags(xk, yk, 0), reference_pearson_rows(xk, yk)
+                assert entries(got) == entries(at_lag_zero(expected)), (seed, k)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_best_lags_and_pearson(self, kind):
         for seed in SEEDS:
             xs, inc = factor_stack(kind, seed)
             factors = list(xs)
-            with mock.patch.object(calibrate, "_pearson_rows", reference_pearson_rows):
-                expected_r = [outcome(pearson, f, inc) for f in factors]
+            expected_r = entries([reference_pearson_rows(f[None], inc)[0] for f in factors])
             expected = entries(reference_best_lags(factors, inc, 6))
             assert entries(best_lags(factors, inc, 6)) == expected, seed
             assert [outcome(pearson, f, inc) for f in factors] == expected_r, seed
@@ -180,8 +182,9 @@ class TestMaskedLagPass:
             factors, inc, max_lag = lag_case(kind, seed)
             xs, n = np.array(factors).reshape(len(factors), inc.size), inc.size
             for k in range(min(max_lag, n) + 1):
-                got = _pearson_rows(xs[:, : n - k], inc[k:])
-                assert entries(got) == entries(reference_pearson_rows(xs[:, : n - k], inc[k:]))
+                got = best_lags(xs[:, : n - k], inc[k:], 0)
+                expected = reference_pearson_rows(xs[:, : n - k], inc[k:])
+                assert entries(got) == entries(at_lag_zero(expected))
             expected = reference_best_lags(factors, inc, max_lag)
             assert entries(best_lags(factors, inc, max_lag)) == entries(expected), seed
             if len(factors) == 4:
