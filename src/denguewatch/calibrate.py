@@ -320,16 +320,16 @@ def exponents_from_correlations(correlations) -> tuple:
     return tuple(4.0 * m / total for m in floored)
 
 
-def estimate_exponents(factors, incidence, max_lag: int = DEFAULT_MAX_LAG) -> tuple:
-    """Risk exponents from each factor's best-lag correlation magnitude.
-
-    Each factor is a NaN-marked column over the span of ``incidence``. A
-    factor whose correlation is undefined counts as |r| = 0.
+def estimate_exponents(factors, incidence) -> tuple:
+    """Risk exponents from each factor's correlation magnitude with
+    incidence at lag 0. Each factor is a NaN-marked column over the span of
+    ``incidence``, already lagged as R applies it; an undefined correlation
+    counts as |r| = 0.
     """
     factors = list(factors)
     if len(factors) != 4:
         raise ParameterError(f"expected 4 factor series, got {len(factors)}")
     return exponents_from_correlations(
         0.0 if isinstance(r, CorrelationUndefinedError) else abs(r.correlation)
-        for r in best_lags(factors, incidence, max_lag)
+        for r in best_lags(factors, incidence, 0)
     )

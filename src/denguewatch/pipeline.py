@@ -24,6 +24,7 @@ from .errors import (
 )
 from .evaluation import OutbreakCalendar, load_calendar, score
 from .fuzzy import (
+    RAINFALL_SHOULDER,
     PiecewiseLinearMF,
     humidity_mf_default,
     mobility_mf,
@@ -37,7 +38,6 @@ from .panel import (
     align,
     load_mobility,
     load_series_table,
-    shift,
     write_csv,
 )
 from .risk import (
@@ -125,44 +125,41 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         Variable.HUMIDITY,
     )
     incidence = cols.infected
-    factors = {name: getattr(cols, name) for name in FACTORS}
 
     # A pinned value is scored as the search scores a candidate: the column
-    # shifted by it, searched at lag 0.
+    # lagged by it, searched at lag 0.
     pinned = ccfg["lags"]
     shifts = Lags(0, 0, 0, 0) if pinned is None else Lags(**{k: int(v) for k, v in pinned.items()})
     results = _correlations(
-        [shift(factors[name], getattr(shifts, name)) for name in FACTORS], incidence,
+        cols.inputs(shifts)[:4], incidence,
         max_lag if pinned is None else 0, None if pinned is None else "calibration.lags",
     )
     lags = Lags(*(getattr(shifts, name) + r.lag_months for name, r in zip(FACTORS, results)))
     correlations = {name: r.correlation for name, r in zip(FACTORS, results)}
+    inputs = cols.inputs(lags)  # each factor as R applies it, from here on
 
     if ccfg["rainfall_cutoffs"] is not None:
         r_min, r_max = (float(v) for v in ccfg["rainfall_cutoffs"])
-        with _config_key("calibration.rainfall_cutoffs"):
-            rainfall_mf_from_cutoffs(r_min, r_max)  # its range check, before any correlation
-        rain = factors["rain"]
+        shoulder = cfg["membership"]["rainfall_shoulder"]  # membership_functions names one not > 0
+        with _config_key("calibration.rainfall_cutoffs"):  # before any correlation
+            rainfall_mf_from_cutoffs(r_min, r_max, shoulder if shoulder > 0 else RAINFALL_SHOULDER)
+        rain = inputs[0]
         band = np.where(np.isnan(rain), np.nan, (rain >= r_min) & (rain <= r_max))
-        (result,) = _correlations(
-            [shift(band, lags.rain)], incidence, 0, "calibration.rainfall_cutoffs"
-        )
+        (result,) = _correlations([band], incidence, 0, "calibration.rainfall_cutoffs")
         cutoffs = cal.CutoffResult(r_min, r_max, result.correlation)
     else:
-        cutoffs = cal.rainfall_cutoffs(
-            factors["rain"], incidence, lags.rain, ccfg["grid_step"]
-        )
+        cutoffs = cal.rainfall_cutoffs(cols.rain, incidence, lags.rain, ccfg["grid_step"])
 
     mobility_c = cfg["risk"]["mobility_c"]
     if mobility_c is None:
-        mobility_c = default_mobility_c(factors["mobility"], region)
+        mobility_c = default_mobility_c(cols.mobility, region)
     mobility_c = float(mobility_c)
 
     mfs = membership_functions(cfg, cutoffs, mobility_c)
     exponents = ccfg["exponents"]
     if exponents is None:
-        member = [getattr(mfs, name).evaluate(col) for name, col in factors.items()]
-        exponents = cal.estimate_exponents(member, incidence, max_lag)
+        member = [getattr(mfs, name).evaluate(col) for name, col in zip(FACTORS, inputs)]
+        exponents = cal.estimate_exponents(member, incidence)
 
     return Calibration(lags, correlations, cutoffs, exponents, mobility_c, mfs)
 

@@ -111,12 +111,13 @@ def reference_rainfall_cutoffs(rain, incidence, lag, grid_step=10.0):
     return best
 
 
-def reference_estimate_exponents(factors, incidence, max_lag=DEFAULT_MAX_LAG):
-    """Exponents from one reference lag search per factor; undefined is 0."""
+def reference_estimate_exponents(factors, incidence):
+    """Exponents from the scalar reference r of each factor at lag 0; an
+    undefined r is 0."""
     mags = []
     for f in factors:
         try:
-            mags.append(abs(reference_best_lag(f, incidence, max_lag).correlation))
+            mags.append(abs(reference_pearson(f, incidence)))
         except CorrelationUndefinedError:
             mags.append(0.0)
     return exponents_from_correlations(mags)
@@ -555,9 +556,9 @@ class TestSearchMatchesLoops:
     @pytest.mark.parametrize("kind", STACK_KINDS)
     @pytest.mark.parametrize("seed", range(3, 16, 4))
     def test_exponents_match_per_factor_reference(self, kind, seed):
-        factors, inc, max_lag = lag_stack(kind, seed)  # four factors
-        assert outcome(estimate_exponents, factors, inc, max_lag) == outcome(
-            reference_estimate_exponents, factors, inc, max_lag
+        factors, inc, _ = lag_stack(kind, seed)  # four factors
+        assert outcome(estimate_exponents, factors, inc) == outcome(
+            reference_estimate_exponents, factors, inc
         )
 
     def test_length_mismatch_and_bad_max_lag(self):

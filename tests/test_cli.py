@@ -5,11 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from denguewatch.calibrate import CutoffResult, exponents_from_correlations, pearson
 from denguewatch.cli import main
 from denguewatch.config import default_config, load_config
+from denguewatch.errors import CorrelationUndefinedError
+from denguewatch.pipeline import load_panel, membership_functions
+from denguewatch.risk import FACTORS, target_columns
 
 
 def run(capsys, *argv):
@@ -296,10 +301,15 @@ class TestConfigValidation:
              "calibration.rainfall_cutoffs: zero variance in at least one argument"),
             ({"calibration": {"lags": LAGS}},
              "calibration.lags: need >= 3 paired observations, got 0"),
+            ({"membership": {"rainfall_shoulder": -1},
+              "calibration": {"rainfall_cutoffs": [150, 350]}},
+             "membership.rainfall_shoulder: shoulder width must be > 0, got -1"),
+            ({"calibration": {"rainfall_cutoffs": [100, 1.7e308]}},
+             "calibration.rainfall_cutoffs: breakpoint (inf, 0.0) outside finite x, y in [0,1]"),
         ],
         ids=["temperature-order", "temperature-short", "humidity-order", "humidity-empty",
              "rainfall_shoulder", "mobility_c", "cutoffs-every-month", "cutoffs-no-month",
-             "lags"],
+             "lags", "rainfall_shoulder-pinned-band", "cutoffs-infinite-foot"],
     )
     def test_stage_errors_name_their_key(self, workspace, capsys, overrides, message):
         tmp_path, data, _ = workspace
@@ -312,7 +322,9 @@ class TestConfigValidation:
 
 
 # calibration.json of the quick-start panel with both searches fixed by the
-# config; the bytes are those the per-pair and per-lag loops wrote.
+# config; the bytes are those the per-pair and per-lag loops wrote, and each
+# exponent that of the scalar reference r of the factor's membership column
+# at its pinned lag.
 FIXED_CALIBRATION_JSON = """\
 {
   "correlations": {
@@ -322,10 +334,10 @@ FIXED_CALIBRATION_JSON = """\
     "temp": -0.9841133933532417
   },
   "exponents": [
-    0.9828861804763613,
-    1.0045408435486565,
-    0.9918157641197404,
-    1.020757211855242
+    1.087943862469983,
+    1.3468381637313291,
+    0.47610160470029034,
+    1.0891163690983978
   ],
   "lags": {
     "humid": 0,
@@ -357,6 +369,46 @@ class TestCalibrate:
         assert code == 0, err
         assert (out / "calibration.json").read_text() == FIXED_CALIBRATION_JSON
 
+    @pytest.mark.parametrize("lags", [(0, 0, 0, 0), (1, 3, 0, 2)], ids=["zero", "mixed"])
+    def test_exponents_weigh_each_membership_at_its_pinned_lag(self, workspace, capsys, lags):
+        """With only the lags pinned, each exponent written comes from the r
+        of the factor's membership column at the lag R applies it."""
+        tmp_path, data, _ = workspace
+        pinned = dict(zip(FACTORS, lags))
+        cfg_path = tmp_path / "lags.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(data, calibration={"lags": pinned})))
+        out = tmp_path / "cal"
+        code, _, err = run(capsys, "--config", str(cfg_path), "calibrate", "--out", str(out))
+        assert code == 0, err
+        written = json.loads((out / "calibration.json").read_text())
+        cfg = load_config(cfg_path)
+        cols = target_columns(load_panel(cfg), cfg["region"])
+        mfs = membership_functions(
+            cfg, CutoffResult(**written["rainfall_cutoffs"]), written["mobility_c"]
+        )
+        mags = []
+        for name, lag in pinned.items():
+            degrees = getattr(mfs, name).evaluate(getattr(cols, name))
+            lagged = np.concatenate((np.full(lag, np.nan), degrees[: degrees.size - lag]))
+            try:
+                mags.append(pearson(lagged, cols.infected))
+            except CorrelationUndefinedError:
+                mags.append(0.0)
+        assert written["lags"] == pinned
+        assert written["exponents"] == list(exponents_from_correlations(mags))
+
+    def test_pinned_band_is_checked_at_the_configured_shoulder(self, workspace, capsys):
+        """The feet at 1.01 * 1.7e308 are finite. At the default shoulder they
+        overflow: see the "cutoffs-infinite-foot" row of
+        test_stage_errors_name_their_key."""
+        tmp_path, data, _ = workspace
+        cfg_path = tmp_path / "shoulder.yaml"
+        cfg_path.write_text(yaml.safe_dump(synth_config(
+            data, membership={"rainfall_shoulder": 0.01},
+            calibration={"rainfall_cutoffs": [100, 1.7e308]},
+        )))
+        code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
+        assert (code, err) == (0, "")
 
     def test_too_fine_grid_is_one_line_error(self, workspace, capsys):
         tmp_path, data, _ = workspace

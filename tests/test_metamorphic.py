@@ -9,6 +9,13 @@ or with a changed config.
   same and the fitted incidence scales by 8. Every ratio the model reads
   (S/N, I/I_peak, I/N behind the mobility weights) and every correlation is
   unchanged, and a power of two scales a float exactly.
+- Multiplying every mobility weight by 2**3 changes no artifact byte but
+  ``mobility_c`` in ``calibration.json``, which becomes exactly 8 times the
+  original: R_mob and its normalizer scale together, so the mobility
+  membership and every correlation are unchanged.
+- Adding a bystander region ``AA``, which sorts before the others, with six
+  series of its own over the target's span and weight-0 mobility rows to
+  and from every region, changes no artifact byte.
 - Pinning in the config the lags, the rainfall band, or both with the
   exponents and the mobility normalizer, each as the run's
   ``calibration.json`` gives it, changes no artifact byte: a pinned value is
@@ -39,6 +46,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 INPUTS = (*INPUT_VARIABLES, "mobility", "outbreaks")
 SCALED = ("incidence", "susceptible", "population")
+TARGET = "WP"  # the region of the default config
 ARTIFACTS = ("calibration.json", "risk.csv", "flagged.csv", "objective_space.svg",
              "baseline.csv", "evaluation.json")
 
@@ -123,6 +131,38 @@ def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
     for (t, d, flag), (t8, d8, flag8) in zip(rows[0][1:], rows[1][1:]):
         assert (t8, flag8) == (t, flag)
         assert math.isclose(float(d8), 8 * float(d), rel_tol=1e-10, abs_tol=0.0), t
+
+
+def test_mobility_times_eight_scales_only_the_normalizer(panel):
+    root, data, original = panel
+
+    def times_eight(rows):
+        return [[source, target, repr(8 * float(w))] for source, target, w in rows]
+
+    rewrite(data, root / "busier", ("mobility",), times_eight)
+    busier = report(root, root / "busier", "busier-report")
+    c = json.loads(original["calibration.json"])["mobility_c"]
+    text = original["calibration.json"].decode()
+    before, after = (f'"mobility_c": {v!r}' for v in (c, 8 * c))
+    assert text.count(before) == 1
+    assert busier == {**original, "calibration.json": text.replace(before, after).encode()}
+
+
+def test_a_bystander_region_changes_no_byte(panel):
+    root, data, original = panel
+    regions = ("AA", "NB", TARGET)
+
+    def with_bystander(rows):
+        target = [row for row in rows if row[0] == TARGET]
+        values = [value for _, _, value in reversed(target)]
+        return rows + [["AA", t, value] for (_, t, _), value in zip(target, values)]
+
+    rewrite(data, root / "bystander", INPUT_VARIABLES, with_bystander)
+    with open(root / "bystander" / "mobility.csv", "a", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["AA", j, "0"] for j in regions] + [[i, "AA", "0"] for i in regions[1:]]
+        )
+    assert report(root, root / "bystander", "bystander-report") == original
 
 
 @pytest.mark.parametrize("pinned", ["lags", "cutoffs", "all"])

@@ -567,21 +567,26 @@ class TestSharedPerPanel:
         assert mf.call_count == 4
 
     def test_detect_and_baseline_share_one_set_of_lagged_inputs(self):
+        """Calibration, detection and the baseline read one tuple of inputs
+        at the lags found; only the lag search reads another, at lag 0."""
         panel, _ = generate(SynthConfig())
         cfg = default_config()
-        calibration = pipeline.calibrate_panel(panel, cfg)
         built, inputs = [], risk.TargetColumns.inputs
 
         def spy(cols, lags):
-            built.append(inputs(cols, lags))
-            return built[-1]
+            built.append((lags, inputs(cols, lags)))
+            return built[-1][1]
 
         with mock.patch.object(risk, "shift", wraps=risk.shift) as shifted, \
                 mock.patch.object(risk.TargetColumns, "inputs", spy):
+            calibration = pipeline.calibrate_panel(panel, cfg)
             pipeline.detect(panel, cfg, calibration)
             pipeline.run_baseline(panel, cfg, calibration)
-        assert len(built) == 2 and built[0] is built[1]
-        assert shifted.call_count == 7  # one per column, by whichever stage came first
-        assert all(not column.flags.writeable for column in built[0])
+        assert calibration.lags != Lags(0, 0, 0, 0)
+        assert [lags for lags, _ in built] == [Lags(0, 0, 0, 0)] + [calibration.lags] * 3
+        shared = built[1][1]
+        assert all(columns is shared for _, columns in built[1:])
+        assert shifted.call_count == 14  # one per column of each tuple, by its first reader
+        assert all(not column.flags.writeable for column in shared)
         with pytest.raises(ValueError):
-            built[0][0][-1] = 1.0
+            shared[0][-1] = 1.0
