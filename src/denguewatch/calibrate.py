@@ -163,20 +163,20 @@ def best_lag(factor, incidence, max_lag: int = DEFAULT_MAX_LAG) -> LagResult:
     return result
 
 
-def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> CutoffResult:
+def rainfall_cutoffs(rain, incidence, grid_step: float = 10.0) -> CutoffResult:
     """Grid-search the rainfall plateau maximizing correlation with incidence.
 
-    ``rain`` and ``incidence`` are NaN-marked columns over the same span.
-    Candidate cutoffs are the multiples of ``grid_step`` inside the observed
-    range of the lagged rainfall. For each pair r_min < r_max the lagged
-    rainfall is turned into the plateau indicator (1 inside the band, 0
-    outside) and correlated with incidence; the trapezoid shoulders are a
-    property of the final membership function, not of the search objective,
-    so they are left out here (including them biases the optimum toward a
-    narrower plateau). Pairs are taken r_min first, then r_max, ascending;
-    a pair replaces the best so far when its r is higher by more than 1e-12,
-    or within 1e-12 and its band is wider by more than 1e-12. So a tie goes to
-    the wider band, and between bands of equal width to the first one found.
+    ``rain`` and ``incidence`` are NaN-marked columns over the same span,
+    rain lagged as R applies it. Candidate cutoffs are the multiples of
+    ``grid_step`` inside its observed range. For each pair r_min < r_max it
+    is turned into the plateau indicator (1 inside the band, 0 outside) and
+    correlated with incidence; the trapezoid shoulders are a property of the
+    final membership function, not of the search objective, so they are left
+    out here (including them biases the optimum toward a narrower plateau).
+    Pairs are taken r_min first, then r_max, ascending; a pair replaces the
+    best so far when its r is higher by more than 1e-12, or within 1e-12 and
+    its band is wider by more than 1e-12. So a tie goes to the wider band,
+    and between bands of equal width to the first one found.
 
     Closed form. Over the n paired months, with c the centred incidence as
     :func:`pearson` computes it and ey = sum(c), a band holding k months
@@ -210,9 +210,6 @@ def rainfall_cutoffs(rain, incidence, lag: int, grid_step: float = 10.0) -> Cuto
     ia = np.asarray(incidence, dtype=float)
     if ra.shape != ia.shape:
         raise ParameterError(f"length mismatch: {ra.size} vs {ia.size}")
-    if lag < 0:
-        raise ParameterError(f"lag must be >= 0, got {lag}")
-    ra, ia = ra[: max(ia.size - lag, 0)], ia[lag:]  # rain at t - lag beside incidence at t
     present = ra[~np.isnan(ra)]
     if present.size == 0:
         raise CalibrationError("rain series has no present values after lagging")

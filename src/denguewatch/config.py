@@ -140,9 +140,25 @@ def _resolve(table: dict, loaded: dict, path: str = "") -> dict:
         value = loaded.get(key, default)
         if not ((value is None and default is None) or test(value)):
             null = "null or " if default is None else ""
-            raise ConfigError(f"{here} must be {null}{words}, got {_shown(value)}")
+            hint = _number_hint(value, test)
+            raise ConfigError(f"{here} must be {null}{words}, got {_shown(value)}{hint}")
         out[key] = _copy(value)
     return out
+
+
+def _number_hint(value, test) -> str:
+    """For text that float() reads as a number ``test`` accepts, how YAML
+    writes that number. PyYAML reads a float only with a dot and, with an
+    exponent, a signed one, so 1e1 and inf are text."""
+    try:
+        number = float(value) if isinstance(value, str) else None
+    except ValueError:
+        return ""
+    if number is None or not test(number):
+        return ""
+    import yaml
+
+    return f", which YAML reads as text; write {yaml.safe_dump(number).splitlines()[0]}"
 
 
 def _defaults(table: dict) -> dict:

@@ -263,23 +263,36 @@ def read_csv(path, raw: Optional[bytes] = None):
     before the fault. One leading UTF-8 byte-order mark is skipped."""
     raw = read_file(path) if raw is None else raw
     path, count, block = Path(path), 0, range(_BLOCK_ROWS)
-    # Decoded as it is read, as a file is: a fault comes after the rows before it
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        while len(block) == _BLOCK_ROWS:
-            block, fault = [], None
-            try:
-                # extend() keeps the rows read before a fault
-                block.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except UnicodeDecodeError as exc:
-                fault = f"not UTF-8 text ({exc.reason})"
-            except csv.Error as exc:
-                fault = f"line {count + len(block) + 1}: {exc}"
-            count += len(block)
-            if block:
-                yield block
-            if fault or not count:
-                raise IngestionError(f"{path}: {fault or 'no data rows'}")
+    reader = csv.reader(_lines(raw))
+    while len(block) == _BLOCK_ROWS:
+        block, fault = [], None
+        try:
+            # extend() keeps the rows read before a fault
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            fault = f"not UTF-8 text ({exc.reason})"
+        except csv.Error as exc:
+            fault = f"line {count + len(block) + 1}: {exc}"
+        count += len(block)
+        if block:
+            yield block
+        if fault or not count:
+            raise IngestionError(f"{path}: {fault or 'no data rows'}")
+
+
+def _lines(raw: bytes):
+    """The lines of ``raw`` as text, decoded as they are read, one leading
+    byte-order mark skipped. Bytes that are not UTF-8 raise after the whole
+    lines before them, so a row the csv reader has not finished there is
+    never yielded."""
+    raw = raw.removeprefix(b"\xef\xbb\xbf")
+    try:
+        raw.decode()  # only to find the first fault: a stream fails a whole chunk
+    except UnicodeDecodeError as exc:
+        cut = max(raw.rfind(b"\n", 0, exc.start), raw.rfind(b"\r", 0, exc.start)) + 1
+        yield from io.TextIOWrapper(io.BytesIO(raw[:cut]), encoding="utf-8", newline="")
+        raise
+    yield from io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
 
 def write_csv(path, header: list, rows) -> None:

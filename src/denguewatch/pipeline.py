@@ -148,7 +148,7 @@ def calibrate_panel(panel: Panel, cfg: dict) -> Calibration:
         (result,) = _correlations([band], incidence, 0, "calibration.rainfall_cutoffs")
         cutoffs = cal.CutoffResult(r_min, r_max, result.correlation)
     else:
-        cutoffs = cal.rainfall_cutoffs(cols.rain, incidence, lags.rain, ccfg["grid_step"])
+        cutoffs = cal.rainfall_cutoffs(inputs[0], incidence, ccfg["grid_step"])
 
     mobility_c = cfg["risk"]["mobility_c"]
     if mobility_c is None:

@@ -111,8 +111,12 @@ class SynthConfig:
             raise ConfigError(f"months must be <= {room} from {self.start}, to end by 9999-12")
         if max(astuple(self.planted_lags)) > 6:
             raise ConfigError("planted lags must be <= 6 months")
+        if not all(map(math.isfinite, self.rain_band)):
+            raise ConfigError(f"rain band bounds must be finite, got {self.rain_band}")
         if not (0 <= self.rain_band[0] < self.rain_band[1]):
             raise ConfigError(f"invalid rain band {self.rain_band}")
+        if not math.isfinite(self.noise_scale):
+            raise ConfigError(f"noise_scale must be finite, got {self.noise_scale}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
 

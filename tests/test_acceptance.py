@@ -23,7 +23,7 @@ from denguewatch.fuzzy import (
     rainfall_mf_from_cutoffs,
     temperature_mf_default,
 )
-from denguewatch.panel import MonthIndex, Variable
+from denguewatch.panel import MonthIndex, Variable, shift
 from denguewatch.pareto import rank_points
 from denguewatch.risk import Lags
 from denguewatch.synth import SplitMix64, SynthConfig, TARGET_REGION, generate
@@ -120,7 +120,8 @@ def test_criterion_4_rainfall_cutoff_recovery():
     inc_vals = [0.0] * n
     for t in range(lag, n):
         inc_vals[t] = 1.0 if 150.0 <= rain_vals[t - lag] <= 350.0 else 0.0
-    result = rainfall_cutoffs(np.array(rain_vals), np.array(inc_vals), lag=lag, grid_step=10.0)
+    rain = shift(np.array(rain_vals), lag)  # the rain column as R applies it
+    result = rainfall_cutoffs(rain, np.array(inc_vals), grid_step=10.0)
     assert abs(result.r_min - 150.0) <= 10.0, f"r_min {result.r_min}"
     assert abs(result.r_max - 350.0) <= 10.0, f"r_max {result.r_max}"
     print(f"PASS criterion 4: cutoffs ({result.r_min}, {result.r_max}) within 10 mm of (150, 350)")

@@ -275,7 +275,7 @@ class TestRainfallCutoffs:
 
     def test_planted_band_recovered(self):
         rain, inc = self._planted_band()
-        result = rainfall_cutoffs(rain, inc, lag=2, grid_step=10.0)
+        result = rainfall_cutoffs(shifted(rain, 2), inc, grid_step=10.0)
         assert abs(result.r_min - 150.0) <= 10.0
         assert abs(result.r_max - 350.0) <= 10.0
 
@@ -283,17 +283,17 @@ class TestRainfallCutoffs:
         rain = column([100.0] * 40)
         inc = column(range(40))
         with pytest.raises(CalibrationError):
-            rainfall_cutoffs(rain, inc, lag=0)
+            rainfall_cutoffs(rain, inc)
 
     def test_oversized_step_errors(self):
         rain, inc = self._planted_band()
         with pytest.raises(CalibrationError, match="empty grid"):
-            rainfall_cutoffs(rain, inc, lag=2, grid_step=10000.0)
+            rainfall_cutoffs(shifted(rain, 2), inc, grid_step=10000.0)
 
     def test_bad_step_rejected(self):
         rain, inc = self._planted_band()
         with pytest.raises(ParameterError):
-            rainfall_cutoffs(rain, inc, lag=2, grid_step=0.0)
+            rainfall_cutoffs(shifted(rain, 2), inc, grid_step=0.0)
 
     def test_grid_over_the_cap_raises_without_allocating(self):
         cap = calibrate._MAX_GRID_POINTS
@@ -305,7 +305,7 @@ class TestRainfallCutoffs:
                 CalibrationError,
                 match=rf"^calibration.grid_step 1.0 is too fine: {cap + 1} grid points ",
             ):
-                rainfall_cutoffs(rain, inc, lag=0, grid_step=1.0)
+                rainfall_cutoffs(rain, inc, grid_step=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,9 +315,9 @@ class TestRainfallCutoffs:
         monkeypatch.setattr(calibrate, "_MAX_GRID_POINTS", 10)
         rain = column([0.0, 3.0, 5.0, 9.0] * 3)
         inc = column([0.0, 1.0, 1.0, 0.0] * 3)
-        assert rainfall_cutoffs(rain, inc, 0, 1.0) == reference_rainfall_cutoffs(rain, inc, 0, 1.0)
+        assert rainfall_cutoffs(rain, inc, 1.0) == reference_rainfall_cutoffs(rain, inc, 0, 1.0)
         with pytest.raises(CalibrationError, match="too fine: 11 grid points"):
-            rainfall_cutoffs(column([0.0, 3.0, 5.0, 10.0] * 3), inc, 0, 1.0)
+            rainfall_cutoffs(column([0.0, 3.0, 5.0, 10.0] * 3), inc, 1.0)
 
 
 PANEL_KINDS = (
@@ -438,7 +438,7 @@ class TestSearchMatchesLoops:
     def test_seeded_panels(self, kind, seed):
         rain, inc, lag = oracle_panel(kind, seed)
         grid_step = (10.0, 25.0, 15.0, 10)[seed]
-        assert outcome(rainfall_cutoffs, rain, inc, lag, grid_step) == outcome(
+        assert outcome(rainfall_cutoffs, shifted(rain, lag), inc, grid_step) == outcome(
             reference_rainfall_cutoffs, rain, inc, lag, grid_step
         )
         assert outcome(best_lag, rain, inc, seed + 3) == outcome(
@@ -468,12 +468,12 @@ class TestSearchMatchesLoops:
     def test_every_pair_undefined_on_constant_incidence(self):
         rain, inc, lag = oracle_panel("constant", 0)
         with pytest.raises(CalibrationError, match="no cutoff pair"):
-            rainfall_cutoffs(rain, inc, lag)
+            rainfall_cutoffs(shifted(rain, lag), inc)
 
     def test_exact_ties_keep_widest_then_lowest_band(self):
         rain = column([40.0, 120.0, 200.0, 260.0, 330.0, 410.0] * 5)
         inc = column([0.0, 0.0, 1.0, 1.0, 0.0, 0.0] * 5)
-        result = rainfall_cutoffs(rain, inc, 0, grid_step=5.0)
+        result = rainfall_cutoffs(rain, inc, grid_step=5.0)
         assert result == reference_rainfall_cutoffs(rain, inc, 0, grid_step=5.0)
         assert (result.r_min, result.r_max) == (125.0, 325.0)
         assert result.correlation == pytest.approx(1.0)
@@ -490,7 +490,7 @@ class TestSearchMatchesLoops:
         inc = np.concatenate((same, rng.permutation(same), [-5.0, -5.0, -1000.0] * 2))
         perm = rng.permutation(rain.size)
         rain, inc = rain[perm], inc[perm]
-        assert rainfall_cutoffs(rain, inc, 0) == reference_rainfall_cutoffs(rain, inc, 0)
+        assert rainfall_cutoffs(rain, inc) == reference_rainfall_cutoffs(rain, inc, 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fine_grid_over_few_rain_values(self, seed):
@@ -499,7 +499,7 @@ class TestSearchMatchesLoops:
         rain = rng.choice([40.0, 120.0, 200.0, 260.0, 330.0, 410.0], size=60)
         inc = 3.0 * ((rain >= 150.0) & (rain <= 350.0)) + rng.normal(0.0, 0.5 * (seed % 2), 60)
         grid_step = (4.0, 5.0, 7.5, 2.5)[seed]
-        assert rainfall_cutoffs(rain, inc, 0, grid_step) == reference_rainfall_cutoffs(
+        assert rainfall_cutoffs(rain, inc, grid_step) == reference_rainfall_cutoffs(
             rain, inc, 0, grid_step
         )
 
@@ -510,7 +510,7 @@ class TestSearchMatchesLoops:
         same = rng.uniform(1.0, 2.0, size=3)
         rain = column([100.0] * 3 + [300.0] * 3 + [20.0, 480.0, 200.0] * 2)
         inc = np.concatenate((same, rng.permutation(same), [-5.0, -5.0, -1000.0] * 2))
-        assert rainfall_cutoffs(rain, inc, 0, 6.0) == reference_rainfall_cutoffs(rain, inc, 0, 6.0)
+        assert rainfall_cutoffs(rain, inc, 6.0) == reference_rainfall_cutoffs(rain, inc, 0, 6.0)
 
     def test_step_near_the_tie_width(self):
         """Grid points 1e-12 apart: widths tie within 1e-12, so every pair of
@@ -519,7 +519,7 @@ class TestSearchMatchesLoops:
         for _ in range(20):
             rain = rng.choice([0.0, 5.0, 10.0, 15.0, 20.0], size=24) * 1e-12
             inc = rng.poisson(5.0, size=24).astype(float)
-            assert outcome(rainfall_cutoffs, rain, inc, 0, 1e-12) == outcome(
+            assert outcome(rainfall_cutoffs, rain, inc, 1e-12) == outcome(
                 reference_rainfall_cutoffs, rain, inc, 0, 1e-12
             )
 
@@ -532,7 +532,7 @@ class TestSearchMatchesLoops:
         inc = 10.0 + 90.0 * planted + rng.normal(0.0, 5.0, 120)
         tracemalloc.start()
         try:
-            result = rainfall_cutoffs(rain, inc, 0, grid_step=1.0)
+            result = rainfall_cutoffs(rain, inc, grid_step=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,7 +543,7 @@ class TestSearchMatchesLoops:
     @given(drawn_panels(), st.integers(0, 4), st.sampled_from([10.0, 25.0, 7.5, 20]))
     def test_drawn_panels_cutoffs(self, panel, lag, grid_step):
         rain, inc = panel
-        assert outcome(rainfall_cutoffs, rain, inc, lag, grid_step) == outcome(
+        assert outcome(rainfall_cutoffs, shifted(rain, lag), inc, grid_step) == outcome(
             reference_rainfall_cutoffs, rain, inc, lag, grid_step
         )
 

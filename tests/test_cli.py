@@ -178,6 +178,22 @@ class TestConfigValidation:
              "calibration.max_lag must be an integer >= 0, got 'x'"),
             ("calibration: {lags: {rain: -1, temp: 0, humid: 0, mobility: 0}}",
              "calibration.lags.rain must be an integer >= 0, got -1"),
+            # YAML 1.1 reads a float only with a dot and a signed exponent
+            ("calibration: {grid_step: 1e1}",
+             "calibration.grid_step must be a number > 0, got '1e1', "
+             "which YAML reads as text; write 10.0"),
+            ('{"calibration": {"grid_step": 1e1}}',
+             "calibration.grid_step must be a number > 0, got '1e1', "
+             "which YAML reads as text; write 10.0"),
+            ("risk: {r_ideal: inf, mobility_c: nan}",
+             "risk.r_ideal must be a number, got 'inf', which YAML reads as text; write .inf"),
+            ("risk: {mobility_c: nan}",
+             "risk.mobility_c must be null or a number, got 'nan', "
+             "which YAML reads as text; write .nan"),
+            # no hint where the number would be refused too
+            ("calibration: {grid_step: -1e1}",
+             "calibration.grid_step must be a number > 0, got '-1e1'"),
+            ("synth: {start: 1e1}", "synth.start must be a YYYY-MM month, got '1e1'"),
         ],
     )
     def test_wrong_type_or_shape(self, tmp_path, capsys, text, message):
@@ -586,6 +602,25 @@ class TestSynth:
         ],
     )
     def test_span_ending_after_9999_12_is_refused(self, tmp_path, capsys, synth, message):
+        cfg_path = tmp_path / "synth.yaml"
+        cfg_path.write_text(yaml.safe_dump({"synth": synth}))
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "--config", str(cfg_path), "synth", "--out", str(out))
+        assert (code, err) == (2, f"error: config: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "synth, message",
+        [
+            ({"noise_scale": float("nan")}, "noise_scale must be finite, got nan"),
+            ({"noise_scale": float("inf")}, "noise_scale must be finite, got inf"),
+            ({"rain_band": [0, float("inf")]}, "rain band bounds must be finite, got (0.0, inf)"),
+            ({"noise_scale": -1}, "noise_scale must be >= 0, got -1.0"),
+            ({"rain_band": [350, 150]}, "invalid rain band (350.0, 150.0)"),
+        ],
+        ids=["nan-scale", "inf-scale", "inf-band", "negative-scale", "unordered-band"],
+    )
+    def test_settings_out_of_range_are_refused(self, tmp_path, capsys, synth, message):
         cfg_path = tmp_path / "synth.yaml"
         cfg_path.write_text(yaml.safe_dump({"synth": synth}))
         out = tmp_path / "data"

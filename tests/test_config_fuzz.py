@@ -20,15 +20,15 @@ from denguewatch.errors import ConfigError
 from denguewatch.risk import FACTORS
 
 #: Scalars as YAML text: integers up to past the float range, NaN,
-#: infinities, subnormal and huge floats, months, and null, bools, a string
-#: and tags whose text does not convert.
+#: infinities, subnormal and huge floats, months, and null, bools, strings
+#: (two that float() reads as numbers) and tags whose text does not convert.
 NUMBERS = (
     "0", "-1", "1", "2", "99999999999999999999999", "1" + "0" * 400,
     ".nan", ".inf", "-.inf", "5.0e-324", "1.0e+308", "0.5", "150", "350.5",
 )
 MONTHS = ("'2012-01'", "'2016-06'", "'9999-12'", "'2018-13'")
-OTHERS = ("null", "true", "false", "x", "!!int x", "!!float x", "!!timestamp 2012-13-01",
-          "!!binary '!!!'")
+OTHERS = ("null", "true", "false", "x", "1e1", "inf", "!!int x", "!!float x",
+          "!!timestamp 2012-13-01", "!!binary '!!!'")
 SCALARS = (*NUMBERS, *MONTHS, *OTHERS)
 
 

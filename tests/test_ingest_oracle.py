@@ -314,6 +314,19 @@ class TestReadFaults:
              "not UTF-8 text (invalid start byte)"),
             (load_calendar, b"date\n2012-01\n2012-13\n" + b"2012-01\n" * 2000 + b"\xff\n",
              "line 3: month must be in 1..12, got 13"),
+            # the rows just before the byte, in the same decode chunk, are read too
+            (SERIES, b"region,date,value\nWP,2012-01,1\nWP,2012-02\nWP,2012-03,1\nWP,\xff,1\n",
+             "line 3: expected 3 fields"),
+            (SERIES, b"\xef\xbb\xbfregion,date,value\nWP,2012-01,1\nWP,2012-02\nWP,\xff,1\n",
+             "line 3: expected 3 fields"),
+            (SERIES, b"region,date,value\rWP,2012-01,1\rWP,2012-02\rWP,\xff,1\r",
+             "line 3: expected 3 fields"),
+            (SERIES, b'region,date,value\nWP,2012-01,1\nWP,2012-02,"1\n2\xff"\n',
+             "not UTF-8 text (invalid start byte)"),  # the row holding the byte is never read
+            (load_mobility, b"from,to,weight\nA,B,1\nA,B,x\nA,C,1\nA,\xff,1\n",
+             "line 3: non-numeric weight 'x'"),
+            (load_calendar, b"date\n2012-11\n1\n\xff\n",
+             "line 3: malformed date '1', expected YYYY-MM"),
         ],
     )
     def test_first_fault_in_file_order(self, tmp_path, load, data, message):

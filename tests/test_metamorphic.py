@@ -28,13 +28,24 @@ or with a changed config.
   byte-order mark at the start of every input CSV, as Excel's "CSV UTF-8"
   writes it. Either sends each file through the csv module, not the
   tokeniser of plain files.
+
+One relation runs on two targets of the benchmark's national panel
+(``bench/gen.py``, 200 regions): renaming every region so that the sorted
+order of the names reverses keeps the lags, the cutoffs, the flags and the
+ranks, and moves every other number by at most ``RENAMED_REL_TOL``. R_mob
+sums the feeders' terms in region-name order, the one order the model
+depends on, so a new order may move the last bits of ``mobility_c`` and of
+what is computed from it.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -55,12 +66,12 @@ ARTIFACTS = ("calibration.json", "risk.csv", "flagged.csv", "objective_space.svg
 MONTH = re.compile(r"\b(\d{4})-(\d{2})\b")
 
 
-def report(root, data, name, **sections):
+def report(root, data, name, outbreaks="outbreaks", **sections):
     """The artifacts of ``report`` on the panel in ``data``, by file name,
     with the config ``sections`` beside its inputs."""
     cfg = {"inputs": {stem: str(data / f"{stem}.csv") for stem in INPUT_VARIABLES}, **sections}
     cfg["inputs"]["mobility"] = str(data / "mobility.csv")
-    cfg["inputs"]["actual_outbreaks"] = str(data / "outbreaks.csv")
+    cfg["inputs"]["actual_outbreaks"] = str(data / f"{outbreaks}.csv")
     cfg_path = root / f"{name}.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = root / name
@@ -206,3 +217,64 @@ def test_a_leading_byte_order_mark_changes_no_byte(panel):
     rewrite(data, root / "bom", encoding="utf-8-sig")
     assert (root / "bom" / "outbreaks.csv").read_bytes().startswith(b"\xef\xbb\xbf")
     assert report(root, root / "bom", "bom-report") == original
+
+
+#: Bound on the relative change of any number in the artifacts of a run on
+#: renamed regions; measured changes are below 1e-11 (see ``national``).
+RENAMED_REL_TOL = 1e-9
+#: A number in an artifact: its digits, with the sign left in the text.
+NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def bench_gen():
+    """``bench/gen.py``, loaded without writing bytecode under ``bench/``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.fixture(scope="module")
+def national(tmp_path_factory):
+    """The root, the national panel's directory (seed 1), the same panel with
+    every region renamed so that the sorted names come in reverse order, and
+    the new names."""
+    gen = bench_gen()
+    root = tmp_path_factory.mktemp("national")
+    data, renamed = root / "data", root / "renamed"
+    national_panel = gen.national_panel(1)
+    gen.write_national(national_panel, data)
+    regions = sorted(national_panel.regions)
+    names = {r: f"R{len(regions) - 1 - i:03d}" for i, r in enumerate(regions)}
+    renamed.mkdir()
+    for path in data.iterdir():
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        # the leading fields that name regions: from,to; region; none in a calendar
+        k = 2 if path.name == "mobility.csv" else 0 if path.name.startswith("outbreaks") else 1
+        rows[1:] = [[names[c] for c in row[:k]] + row[k:] for row in rows[1:]]
+        with open(renamed / path.name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return root, data, renamed, names
+
+
+@pytest.mark.parametrize("target", ["T017", "T042"])
+def test_renamed_regions_move_only_the_last_bits(national, target):
+    root, data, renamed, names = national
+    outbreaks = f"outbreaks-{target}"
+    original = report(root, data, target, outbreaks, region=target)
+    renamed_run = report(root, renamed, f"{target}-renamed", outbreaks, region=names[target])
+    found, again = (json.loads(a["calibration.json"]) for a in (original, renamed_run))
+    assert again["lags"] == found["lags"]
+    for key in ("r_min", "r_max"):
+        assert again["rainfall_cutoffs"][key] == found["rainfall_cutoffs"][key]
+    for name in ARTIFACTS:
+        texts = [a[name].decode() for a in (original, renamed_run)]
+        assert NUMBER.sub("#", texts[1]) == NUMBER.sub("#", texts[0]), name
+        pairs = zip(*(map(float, NUMBER.findall(text)) for text in texts))
+        assert all(math.isclose(x, y, rel_tol=RENAMED_REL_TOL) for x, y in pairs), name

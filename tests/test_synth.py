@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from denguewatch.calibrate import best_lag, rainfall_cutoffs
 from denguewatch.config import default_config
 from denguewatch.errors import ConfigError
-from denguewatch.panel import MonthIndex, Variable
+from denguewatch.panel import MonthIndex, Variable, shift
 from denguewatch.pipeline import calibrate_panel
 from denguewatch.risk import Lags
 from denguewatch.synth import (
@@ -55,6 +57,16 @@ class TestConfigValidation:
     def test_lag_beyond_search_window(self):
         with pytest.raises(ConfigError):
             SynthConfig(planted_lags=Lags(7, 0, 0, 0))
+
+    @pytest.mark.parametrize("band", [(0.0, math.inf), (math.nan, 350.0), (150.0, math.nan)])
+    def test_non_finite_rain_band(self, band):
+        with pytest.raises(ConfigError, match="rain band bounds must be finite"):
+            SynthConfig(rain_band=band)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_scale(self, scale):
+        with pytest.raises(ConfigError, match="noise_scale must be finite"):
+            SynthConfig(noise_scale=scale)
 
     def test_outbreak_before_max_lag(self):
         cfg = SynthConfig(
@@ -135,9 +147,8 @@ class TestGenerate:
     def test_rain_band_interior_to_recovered_cutoffs(self):
         panel, _ = generate(SynthConfig())
         result = rainfall_cutoffs(
-            panel.get(TARGET_REGION, Variable.RAINFALL).values,
+            shift(panel.get(TARGET_REGION, Variable.RAINFALL).values, 2),
             panel.get(TARGET_REGION, Variable.INCIDENCE).values,
-            lag=2,
         )
         # the pulse plants all outbreak-lagged rain at the band center
         assert result.r_min <= 250.0 <= result.r_max
