@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,7 +87,7 @@ def load_calendar(path) -> OutbreakCalendar:
     empty dates are skipped; a row too short to hold a date is an error.
     """
     path = Path(path)
-    rows = itertools.chain.from_iterable(read_csv(path))
+    rows = read_csv(path)
     header = [c.strip().lower() for c in next(rows)]
     if "date" not in header:
         raise IngestionError(f"{path}: no 'date' column in header")

@@ -10,8 +10,9 @@ A plain file (printable ASCII without ``"``, LF or CRLF line ends, lines
 within the csv module's field limit and even enough that fixed-width columns
 stay within a few times the file's size) is split into columns by numpy over
 its bytes. Any other file, with quoted fields, non-ASCII text, tabs or other
-control bytes, goes through the csv module. One set of column checks follows
-either, so a file's values and error messages do not depend on which it took.
+control bytes, is read row by row by the csv module. One set of column
+checks follows either, so a file's values and error messages do not depend
+on which it took.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -238,9 +238,6 @@ class MissingSeriesError(IngestionError):
 
 SERIES_HEADER = ["region", "date", "value"]
 MOBILITY_HEADER = ["from", "to", "weight"]
-# Rows are read in blocks, not all at once: fewer live row lists for the
-# garbage collector to scan, and a lower peak RSS on large files.
-_BLOCK_ROWS = 4096
 # The bytes of a plain file: printable ASCII except the quote, and line ends.
 _PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
@@ -256,28 +253,24 @@ def read_file(path) -> bytes:
 
 
 def read_csv(path, raw: Optional[bytes] = None):
-    """Yield the rows of a CSV file, or of ``raw``, the bytes read from it, in
-    blocks, the header first; lines count rows from 1. A missing or empty
-    file, or a read fault (bytes that are not UTF-8, a row the CSV reader
-    rejects), raises a one-line error naming the file, after the rows read
-    before the fault. One leading UTF-8 byte-order mark is skipped."""
+    """Yield the rows of a CSV file, or of ``raw``, the bytes read from it, the
+    header first; lines count rows from 1. A missing or empty file, or a read
+    fault (bytes that are not UTF-8, a row the CSV reader rejects), raises a
+    one-line error naming the file, after the rows read before the fault. One
+    leading UTF-8 byte-order mark is skipped."""
     raw = read_file(path) if raw is None else raw
-    path, count, block = Path(path), 0, range(_BLOCK_ROWS)
-    reader = csv.reader(_lines(raw))
-    while len(block) == _BLOCK_ROWS:
-        block, fault = [], None
-        try:
-            # extend() keeps the rows read before a fault
-            block.extend(itertools.islice(reader, _BLOCK_ROWS))
-        except UnicodeDecodeError as exc:
-            fault = f"not UTF-8 text ({exc.reason})"
-        except csv.Error as exc:
-            fault = f"line {count + len(block) + 1}: {exc}"
-        count += len(block)
-        if block:
-            yield block
-        if fault or not count:
-            raise IngestionError(f"{path}: {fault or 'no data rows'}")
+    count = 0
+    try:
+        for count, row in enumerate(csv.reader(_lines(raw)), 1):
+            yield row
+    except UnicodeDecodeError as exc:
+        fault = f"not UTF-8 text ({exc.reason})"
+    except csv.Error as exc:
+        fault = f"line {count + 1}: {exc}"
+    else:
+        fault = None if count else "no data rows"
+    if fault:
+        raise IngestionError(f"{Path(path)}: {fault}")
 
 
 def _lines(raw: bytes):
@@ -313,26 +306,21 @@ def _csv_tokens(path, raw: bytes, header: list):
     number, its stripped fields as three columns of str, and the error for
     the row they end before, the first not of three fields or a read fault.
     A blank row of other than three fields is three empty ones."""
-    blocks = read_csv(path, raw)
-    rows = next(blocks)
-    _check_header(path, rows[0], header)
-    columns, error, taken = [[], [], []], None, 0
+    rows = read_csv(path, raw)
+    _check_header(path, next(rows), header)
+    kept, error = [], None
     try:
-        for rows in itertools.chain([rows[1:]], blocks):
-            for k in np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != 3):
-                if any(map(str.strip, rows[k])):
-                    error = IngestionError(f"{path}: line {taken + k + 2}: expected 3 fields")
-                    del rows[k:]
+        for line, row in enumerate(rows, 2):
+            if len(row) != 3:
+                if any(map(str.strip, row)):
+                    error = IngestionError(f"{path}: line {line}: expected 3 fields")
                     break
-                rows[k] = ("", "", "")  # blank, so dropped by _columns
-            for i, column in enumerate(columns):
-                column.extend([row[i].strip() for row in rows])
-            taken += len(rows)
-            if error:
-                break
+                row = ("", "", "")  # blank, so dropped by _columns
+            kept.append(row)
     except IngestionError as exc:  # a read fault
         error = exc
-    return np.arange(2, taken + 2), [np.array(c, dtype=object) for c in columns], error
+    columns = [np.array([row[i].strip() for row in kept], dtype=object) for i in range(3)]
+    return np.arange(2, len(kept) + 2), columns, error
 
 
 def _plain_tokens(path, raw: bytes, header: list):

@@ -115,6 +115,12 @@ class SynthConfig:
             raise ConfigError(f"rain band bounds must be finite, got {self.rain_band}")
         if not (0 <= self.rain_band[0] < self.rain_band[1]):
             raise ConfigError(f"invalid rain band {self.rain_band}")
+        centre = 0.5 * (self.rain_band[0] + self.rain_band[1])  # as generate() plants it
+        if not RAIN_RANGE[0] <= centre <= RAIN_RANGE[1]:
+            raise ConfigError(
+                f"rain band centre must lie within {RAIN_RANGE[0]}-{RAIN_RANGE[1]} mm,"
+                f" got {centre} from {self.rain_band}"
+            )
         if not math.isfinite(self.noise_scale):
             raise ConfigError(f"noise_scale must be finite, got {self.noise_scale}")
         if self.noise_scale < 0:

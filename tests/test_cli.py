@@ -617,8 +617,15 @@ class TestSynth:
             ({"rain_band": [0, float("inf")]}, "rain band bounds must be finite, got (0.0, inf)"),
             ({"noise_scale": -1}, "noise_scale must be >= 0, got -1.0"),
             ({"rain_band": [350, 150]}, "invalid rain band (350.0, 150.0)"),
+            ({"rain_band": [1.0e308, 1.7e308]},
+             "rain band centre must lie within 3.2-794.8 mm, got inf from (1e+308, 1.7e+308)"),
+            ({"rain_band": [900, 1000]},
+             "rain band centre must lie within 3.2-794.8 mm, got 950.0 from (900.0, 1000.0)"),
+            ({"rain_band": [0, 5]},
+             "rain band centre must lie within 3.2-794.8 mm, got 2.5 from (0.0, 5.0)"),
         ],
-        ids=["nan-scale", "inf-scale", "inf-band", "negative-scale", "unordered-band"],
+        ids=["nan-scale", "inf-scale", "inf-band", "negative-scale", "unordered-band",
+             "overflowing-band", "high-band", "low-band"],
     )
     def test_settings_out_of_range_are_refused(self, tmp_path, capsys, synth, message):
         cfg_path = tmp_path / "synth.yaml"

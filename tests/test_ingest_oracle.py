@@ -127,6 +127,33 @@ def write(path, header, rows, newline="\n"):
     return f"{path.parent}/./{path.name}"
 
 
+def quoted(line):
+    """``line`` with every field quoted, as R's ``write.csv`` writes it."""
+    return ",".join(f'"{field}"' for field in line.split(","))
+
+
+LONG_FILE_BAD_AT = pytest.mark.parametrize("bad_at", [None, 4095, 4096, 9000])
+LONG_FILE_BAD_ROWS = pytest.mark.parametrize(
+    "bad_row, bad_pair",
+    [("WP", "R1,S1"), ("R1,1000-01,1", "R1,S1,1"), ("WP,2030-01,x", "R1,S2,x")],
+    ids=["short", "repeat", "non-numeric"],
+)
+
+
+def long_files(tmp_path, bad_at, bad_row, bad_pair, line=str):
+    """A series and a mobility file of 10,000 rows each, with blank rows and
+    one bad row at ``bad_at``, every line passed through ``line``."""
+    rows = [f"R{k % 7},{1000 + k // 84:04d}-{k // 7 % 12 + 1:02d},{k}" for k in range(10_000)]
+    rows[3000] = rows[6000] = " , , "
+    pairs = [f"R{k // 100},S{k % 100},{k}" for k in range(10_000)]
+    if bad_at is not None:
+        rows.insert(bad_at, bad_row)
+        pairs.insert(bad_at, bad_pair)
+    series_header, mobility_header = line("region,date,value"), line("from,to,weight")
+    assert_same_series(write(tmp_path / "s.csv", series_header, list(map(line, rows))))
+    assert_same_mobility(write(tmp_path / "m.csv", mobility_header, list(map(line, pairs))))
+
+
 class TestSeededCorpus:
     @pytest.mark.parametrize("seed", range(60))
     def test_series(self, tmp_path, seed):
@@ -192,22 +219,18 @@ class TestSeededCorpus:
     def test_mobility_cases(self, tmp_path, header, rows):
         assert_same_mobility(write(tmp_path / "m.csv", header, rows))
 
-    @pytest.mark.parametrize("bad_at", [None, 4095, 4096, 9000])
-    @pytest.mark.parametrize(
-        "bad_row, bad_pair",
-        [("WP", "R1,S1"), ("R1,1000-01,1", "R1,S1,1"), ("WP,2030-01,x", "R1,S2,x")],
-        ids=["short", "repeat", "non-numeric"],
-    )
+    @LONG_FILE_BAD_AT
+    @LONG_FILE_BAD_ROWS
     def test_long_files(self, tmp_path, bad_at, bad_row, bad_pair):
-        """Files of several read blocks: line numbers run on across them."""
-        rows = [f"R{k % 7},{1000 + k // 84:04d}-{k // 7 % 12 + 1:02d},{k}" for k in range(10_000)]
-        rows[3000] = rows[6000] = " , , "
-        pairs = [f"R{k // 100},S{k % 100},{k}" for k in range(10_000)]
-        if bad_at is not None:
-            rows.insert(bad_at, bad_row)
-            pairs.insert(bad_at, bad_pair)
-        assert_same_series(write(tmp_path / "s.csv", "region,date,value", rows))
-        assert_same_mobility(write(tmp_path / "m.csv", "from,to,weight", pairs))
+        """Files of several thousand rows: line numbers run on across them."""
+        long_files(tmp_path, bad_at, bad_row, bad_pair)
+
+    @LONG_FILE_BAD_AT
+    @LONG_FILE_BAD_ROWS
+    def test_long_quoted_files(self, tmp_path, bad_at, bad_row, bad_pair):
+        """The same files with every field quoted, so that the csv module
+        reads them rather than the tokeniser of plain files."""
+        long_files(tmp_path, bad_at, bad_row, bad_pair, quoted)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_crlf_line_ends(self, tmp_path, seed):
@@ -280,6 +303,9 @@ class TestNamedPipe:
 GOOD_ROWS = "".join(f"WP,{2000 + k // 12:04d}-{k % 12 + 1:02d},1\n" for k in range(24, 1200)).encode()
 GOOD_PAIRS = "".join(f"R{k},S{k},1\n" for k in range(1500)).encode()
 BIG_FIELD = b'WP,2100-01,"' + b"9" * 200_000 + b'"\n'
+# 4095 rows after the header, so that the next row is line 4097
+LONG_ROWS = "".join(f"R{k % 7},{2000 + k // 84:04d}-{k // 7 % 12 + 1:02d},1\n" for k in range(4095)).encode()
+NEAR_ROWS = b"NB,2000-01,1\nNB,2000-02,1\nNB,2000-03,1\n"
 
 
 class TestReadFaults:
@@ -327,6 +353,16 @@ class TestReadFaults:
              "line 3: non-numeric weight 'x'"),
             (load_calendar, b"date\n2012-11\n1\n\xff\n",
              "line 3: malformed date '1', expected YYYY-MM"),
+            # a bad row and a read fault a few rows apart, past row 4096
+            pytest.param(SERIES, b"region,date,value\n" + LONG_ROWS + b"WP,2000-01,abc\n" + NEAR_ROWS
+                         + b"WP,\xff,1\n", "line 4097: non-numeric value 'abc'", id="long-row-then-byte"),
+            pytest.param(SERIES, b"region,date,value\n" + LONG_ROWS + b"WP,\xff,1\n" + NEAR_ROWS
+                         + b"WP,2000-01,abc\n", "not UTF-8 text (invalid start byte)", id="long-byte-then-row"),
+            pytest.param(SERIES, b"region,date,value\n" + LONG_ROWS + b"WP,2000-01,abc\n" + NEAR_ROWS
+                         + BIG_FIELD, "line 4097: non-numeric value 'abc'", id="long-row-then-field"),
+            pytest.param(SERIES, b"region,date,value\n" + LONG_ROWS + BIG_FIELD + NEAR_ROWS
+                         + b"WP,2000-01,abc\n", "line 4097: field larger than field limit (131072)",
+                         id="long-field-then-row"),
         ],
     )
     def test_first_fault_in_file_order(self, tmp_path, load, data, message):

@@ -29,16 +29,19 @@ or with a changed config.
   writes it. Either sends each file through the csv module, not the
   tokeniser of plain files.
 
-One relation runs on two targets of the benchmark's national panel
-(``bench/gen.py``, 200 regions): renaming every region so that the sorted
-order of the names reverses keeps the lags, the cutoffs, the flags and the
-ranks, and moves every other number by at most ``RENAMED_REL_TOL``. R_mob
-sums the feeders' terms in region-name order, the one order the model
-depends on, so a new order may move the last bits of ``mobility_c`` and of
-what is computed from it.
+Three relations run on targets of the benchmark's national panel
+(``bench/gen.py``, 200 regions). Mobility weights × 2**3 on T017 and T042,
+where R_mob sums 199 terms, and quoted fields with CRLF line ends on T042,
+whose input files hold up to 39,800 rows, hold as above. Renaming every
+region so that the sorted order of the names reverses, on T017 and T042,
+keeps the lags, the cutoffs, the flags and the ranks, and moves every other
+number by at most ``RENAMED_REL_TOL``. R_mob sums the feeders' terms in
+region-name order, the one order the model depends on, so a new order may
+move the last bits of ``mobility_c`` and of what is computed from it.
 """
 
 import csv
+import functools
 import importlib.util
 import json
 import math
@@ -81,16 +84,16 @@ def report(root, data, name, outbreaks="outbreaks", **sections):
 
 
 def rewrite(src, dst, stems=(), change=None, encoding="utf-8", **dialect):
-    """Copy every input CSV from ``src`` to ``dst``, passing the data rows of
-    those in ``stems`` through ``change``; written in ``encoding`` by a
-    ``csv.writer`` with LF line ends unless ``dialect`` says otherwise."""
+    """Copy every CSV from ``src`` to ``dst``, passing the data rows of those
+    whose stem is in ``stems`` through ``change``; written in ``encoding`` by
+    a ``csv.writer`` with LF line ends unless ``dialect`` says otherwise."""
     dst.mkdir()
-    for stem in INPUTS:
-        with open(src / f"{stem}.csv", newline="") as fh:
+    for path in sorted(src.glob("*.csv")):
+        with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))
-        if stem in stems:
+        if path.stem in stems:
             rows = change(rows)
-        with open(dst / f"{stem}.csv", "w", newline="", encoding=encoding) as fh:
+        with open(dst / path.name, "w", newline="", encoding=encoding) as fh:
             csv.writer(fh, **{"lineterminator": "\n", **dialect}).writerows([header, *rows])
 
 
@@ -144,19 +147,21 @@ def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
         assert math.isclose(float(d8), 8 * float(d), rel_tol=1e-10, abs_tol=0.0), t
 
 
-def test_mobility_times_eight_scales_only_the_normalizer(panel):
-    root, data, original = panel
-
+def mobility_times_eight(root, data, original, **on_target):
     def times_eight(rows):
         return [[source, target, repr(8 * float(w))] for source, target, w in rows]
 
     rewrite(data, root / "busier", ("mobility",), times_eight)
-    busier = report(root, root / "busier", "busier-report")
+    busier = report(root, root / "busier", "busier-report", **on_target)
     c = json.loads(original["calibration.json"])["mobility_c"]
     text = original["calibration.json"].decode()
     before, after = (f'"mobility_c": {v!r}' for v in (c, 8 * c))
     assert text.count(before) == 1
     assert busier == {**original, "calibration.json": text.replace(before, after).encode()}
+
+
+def test_mobility_times_eight_scales_only_the_normalizer(panel):
+    mobility_times_eight(*panel)
 
 
 def test_a_bystander_region_changes_no_byte(panel):
@@ -205,11 +210,14 @@ def test_dates_thirty_years_later_change_no_byte(panel):
     assert {f: moved(b.decode(), -30).encode() for f, b in shifted.items()} == original
 
 
-def test_quoted_fields_and_crlf_change_no_byte(panel):
-    root, data, original = panel
+def quoted_with_crlf(root, data, original, **on_target):
     rewrite(data, root / "quoted", quoting=csv.QUOTE_ALL, lineterminator="\r\n")
     assert (root / "quoted" / "mobility.csv").read_bytes().startswith(b'"from","to","weight"\r\n')
-    assert report(root, root / "quoted", "quoted-report") == original
+    assert report(root, root / "quoted", "quoted-report", **on_target) == original
+
+
+def test_quoted_fields_and_crlf_change_no_byte(panel):
+    quoted_with_crlf(*panel)
 
 
 def test_a_leading_byte_order_mark_changes_no_byte(panel):
@@ -263,12 +271,28 @@ def national(tmp_path_factory):
     return root, data, renamed, names
 
 
+@pytest.fixture(scope="module")
+def national_target(national):
+    """For a target of the national panel: a directory of its own, the
+    panel's directory, the artifacts of ``report`` on the target, and the
+    keyword arguments that point ``report`` at it; made once per target."""
+    root, data = national[:2]
+
+    @functools.cache
+    def made(target):
+        own = root / f"{target}-relations"
+        own.mkdir()
+        on_target = {"outbreaks": f"outbreaks-{target}", "region": target}
+        return own, data, report(own, data, "original", **on_target), on_target
+
+    return made
+
+
 @pytest.mark.parametrize("target", ["T017", "T042"])
-def test_renamed_regions_move_only_the_last_bits(national, target):
-    root, data, renamed, names = national
-    outbreaks = f"outbreaks-{target}"
-    original = report(root, data, target, outbreaks, region=target)
-    renamed_run = report(root, renamed, f"{target}-renamed", outbreaks, region=names[target])
+def test_renamed_regions_move_only_the_last_bits(national, national_target, target):
+    root, _, renamed, names = national
+    *_, original, on_target = national_target(target)
+    renamed_run = report(root, renamed, f"{target}-renamed", on_target["outbreaks"], region=names[target])
     found, again = (json.loads(a["calibration.json"]) for a in (original, renamed_run))
     assert again["lags"] == found["lags"]
     for key in ("r_min", "r_max"):
@@ -278,3 +302,14 @@ def test_renamed_regions_move_only_the_last_bits(national, target):
         assert NUMBER.sub("#", texts[1]) == NUMBER.sub("#", texts[0]), name
         pairs = zip(*(map(float, NUMBER.findall(text)) for text in texts))
         assert all(math.isclose(x, y, rel_tol=RENAMED_REL_TOL) for x, y in pairs), name
+
+
+@pytest.mark.parametrize("target", ["T017", "T042"])
+def test_mobility_times_eight_on_national_targets(national_target, target):
+    *case, on_target = national_target(target)
+    mobility_times_eight(*case, **on_target)
+
+
+def test_quoted_fields_and_crlf_on_a_national_target(national_target):
+    *case, on_target = national_target("T042")
+    quoted_with_crlf(*case, **on_target)

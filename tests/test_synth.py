@@ -63,6 +63,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rain band bounds must be finite"):
             SynthConfig(rain_band=band)
 
+    @pytest.mark.parametrize(
+        "band, centre",
+        [((1.0e308, 1.7e308), "inf"), ((900.0, 1000.0), "950.0"), ((0.0, 5.0), "2.5")],
+        ids=["overflowing", "above", "below"],
+    )
+    def test_rain_band_centre_outside_rain_range(self, band, centre):
+        """generate() plants the band's centre, and clips rainfall to RAIN_RANGE."""
+        message = f"rain band centre must lie within 3.2-794.8 mm, got {centre} from"
+        with pytest.raises(ConfigError, match=message):
+            SynthConfig(rain_band=band)
+
+    def test_rain_band_centre_on_the_rain_range_edge(self):
+        assert SynthConfig(rain_band=(0.0, 6.4)).rain_band == (0.0, 6.4)
+        assert SynthConfig(rain_band=(789.6, 800.0)).rain_band == (789.6, 800.0)
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
     def test_non_finite_noise_scale(self, scale):
         with pytest.raises(ConfigError, match="noise_scale must be finite"):
