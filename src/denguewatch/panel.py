@@ -13,15 +13,25 @@ its bytes. Any other file, with quoted fields, non-ASCII text, tabs or other
 control bytes, is read row by row by the csv module. One set of column
 checks follows either, so a file's values and error messages do not depend
 on which it took.
+
+A file of at least ``CACHE_MIN_BYTES`` that loads is cached by its content
+under ``$XDG_CACHE_HOME/denguewatch`` (``~/.cache/denguewatch`` when that is
+unset or not absolute): the arrays of its parse, beside its bytes. A later
+load of the same bytes by the same loader, parser and numpy version reads
+them back in place of the parse; any other load parses, and a cache that
+cannot be read or written changes nothing else.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import math
+import os
 import re
+import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -145,10 +155,7 @@ class MonthlySeries:
             )
         if i == 0 and j == len(self.values) - 1:
             return self
-        # Built without __post_init__: the values were checked when self was.
-        view = object.__new__(MonthlySeries)
-        view.__dict__.update(vars(self), start=start, values=self.values[i : j + 1])
-        return view
+        return _checked(MonthlySeries, vars(self), start=start, values=self.values[i : j + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +193,15 @@ class MobilityMatrix:
         w = np.zeros(len(regions) ** 2)
         w[keys] = weights
         return cls(tuple(regions), w.reshape(len(regions), len(regions)))
+
+
+def _checked(cls, *fields, **more):
+    """An instance of ``cls`` holding ``fields`` and ``more``, built without
+    ``__post_init__``: for values checked already, as a view of a checked
+    series or a cached parse of a file that passed every check."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(*fields, **more)
+    return instance
 
 
 def _unique(column, **kwargs):
@@ -385,13 +401,12 @@ def _texts(column) -> list:
     return (column.astype("U") if column.dtype.kind == "S" else column).tolist()
 
 
-def _columns(path, header: list, empty_ok: bool = False):
-    """The stripped fields of the non-blank rows after the ``header`` row, as
-    three columns; each row's line number; and the error for the row they end
-    before, the first not of three fields or a read fault. Nothing after the
-    header is an error unless ``empty_ok``. A plain file's columns hold
-    bytes, any other file's str."""
-    raw = read_file(path)
+def _columns(path, raw: bytes, header: list, empty_ok: bool = False):
+    """The stripped fields of the non-blank rows after the ``header`` row of
+    ``raw``, the bytes of ``path``, as three columns; each row's line number;
+    and the error for the row they end before, the first not of three fields
+    or a read fault. Nothing after the header is an error unless
+    ``empty_ok``. A plain file's columns hold bytes, any other file's str."""
     lines, columns, error = _plain_tokens(path, raw, header) or _csv_tokens(path, raw, header)
     if not (len(lines) or error or empty_ok):
         raise IngestionError(f"{path}: no data rows")
@@ -457,7 +472,18 @@ def load_series_table(path, variable: Variable) -> dict:
     a bad file reports its first bad row in file order. The series, in order
     of first appearance, are views of one array.
     """
-    lines, columns, error = _columns(path, SERIES_HEADER)
+    raw = read_file(path)
+    entry = _CacheEntry(raw, variable.value)
+    cached = entry.load(lambda flat, names, starts, offsets: {
+        region: _checked(MonthlySeries, region=region, variable=variable,
+                         start=MonthIndex.from_ordinal(start), values=flat[lo:hi])
+        for region, start, lo, hi in zip(
+            names, starts.tolist(), offsets[:-1].tolist(), offsets[1:].tolist(), strict=True
+        )
+    })
+    if cached is not None:
+        return cached
+    lines, columns, error = _columns(path, raw, SERIES_HEADER)
     regions, dates, texts = columns
     t = _parsed(dates, lambda text: MonthIndex.parse(text).ordinal, -1, np.intp)
     given = ~_empty(texts)  # an empty value is a missing month
@@ -479,13 +505,15 @@ def load_series_table(path, variable: Variable) -> dict:
     flat[keys] = values
     flat.flags.writeable = False
     try:
-        return {
+        series = {
             region: MonthlySeries(region, variable, MonthIndex.from_ordinal(int(lo[k])),
                                   flat[offsets[k] : offsets[k + 1]])
             for k, region in enumerate(names)
         }
     except ParameterError as exc:
         raise IngestionError(f"{path}: {exc}") from None
+    entry.store(names, flat=flat, starts=lo, offsets=offsets)
+    return series
 
 
 def write_series(series_list, path) -> None:
@@ -511,14 +539,23 @@ def _mobility_row_error(source: str, target: str, weight_text: str) -> str:
 
 def load_mobility(path) -> MobilityMatrix:
     """Parse a mobility CSV (``from,to,weight``); unlisted pairs default to 0."""
-    lines, columns, error = _columns(path, MOBILITY_HEADER, empty_ok=True)
+    raw = read_file(path)
+    entry = _CacheEntry(raw, "mobility")
+    cached = entry.load(lambda weights, names: _checked(
+        MobilityMatrix, regions=tuple(names), weights=weights.reshape(len(names), len(names))
+    ))
+    if cached is not None:
+        return cached
+    lines, columns, error = _columns(path, raw, MOBILITY_HEADER, empty_ok=True)
     sources, targets, texts = columns
     weights = _floats(texts)
     bad = ~(np.isfinite(weights) & (weights >= 0))
     n = int(bad.argmax()) if bad.any() else len(bad)
     regions, keys = _pair_keys(sources[:n], targets[:n])
     _check_rows(path, lines, columns, error, n, keys, _mobility_row_error)
-    return MobilityMatrix._scatter(regions, keys, weights)
+    mobility = MobilityMatrix._scatter(regions, keys, weights)
+    entry.store(mobility.regions, weights=mobility.weights)
+    return mobility
 
 
 def write_mobility(mobility: MobilityMatrix, path) -> None:
@@ -529,6 +566,79 @@ def write_mobility(mobility: MobilityMatrix, path) -> None:
         if w != 0.0
     )
     write_csv(path, MOBILITY_HEADER, rows)
+
+
+# ---------------------------------------------------------------------------
+# Parse cache
+# ---------------------------------------------------------------------------
+
+# Smaller files are parsed every time: below about 30 KB (series) and 60 KB
+# (mobility) reading an entry takes longer than the parse it replaces.
+CACHE_MIN_BYTES = 64 * 1024
+
+
+@functools.cache
+def _parser_identity() -> str:
+    """What a parse depends on besides its input: this module's source and
+    numpy's version."""
+    source = Path(__file__).read_bytes()
+    return f"panel.py {zlib.crc32(source):08x} {len(source)}, numpy {np.__version__}"
+
+
+class _CacheEntry:
+    """The cached parse of an input file's bytes ``raw`` by ``loader``: an
+    ``.npz`` named by the loader and the bytes' CRC-32, holding the parse's
+    arrays, the region names, the bytes and the parser's identity. Only an
+    entry whose bytes and identity equal these is read, so a hit gives what
+    the parse gave. A file below ``CACHE_MIN_BYTES`` or a cache directory
+    that cannot be used has no entry."""
+
+    def __init__(self, raw: bytes, loader: str):
+        self.raw, self.path = raw, None
+        if len(raw) < CACHE_MIN_BYTES:
+            return
+        try:
+            self.identity = f"{loader}: {_parser_identity()}"
+            home = os.environ.get("XDG_CACHE_HOME", "")
+            base = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
+        except (OSError, RuntimeError):  # no source to name the parser, or no home directory
+            return
+        self.path = base / "denguewatch" / f"{loader}-{zlib.crc32(raw):08x}.npz"
+
+    def load(self, build):
+        """``build(**arrays)`` of the entry's arrays, read-only, or None when
+        there is no entry for these bytes and this parser."""
+        if self.path is None:
+            return None
+        try:
+            # np.load leaves a file it opened itself open when its archive is unreadable
+            with open(self.path, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
+                if entry["identity"].item() != self.identity or entry["raw"].tobytes() != self.raw:
+                    return None
+                arrays = {key: entry[key] for key in entry.files if key not in ("identity", "raw")}
+            for values in arrays.values():
+                values.flags.writeable = False
+            arrays["names"] = arrays["names"].tolist()
+            return build(**arrays)
+        except Exception:  # no entry, or one that does not load as it was stored: parse
+            return None
+
+    def store(self, names, **arrays) -> None:
+        """Write the entry for the parse that gave ``names`` and ``arrays``:
+        whole, through a temporary file, or not at all."""
+        stored = np.array(names, dtype=str)
+        if self.path is None or stored.tolist() != list(names):  # numpy drops a trailing NUL
+            return
+        temporary = self.path.with_name(f".{self.path.name}.{os.getpid()}")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(temporary, "wb") as fh:
+                np.savez(fh, identity=self.identity, raw=np.frombuffer(self.raw, np.uint8),
+                         names=stored, **arrays)
+            os.replace(temporary, self.path)
+        except OSError:  # a cache that cannot be written is left as it is
+            with contextlib.suppress(OSError):
+                temporary.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,15 @@ def _config_key(key, *names):
 
 
 def _correlations(columns, incidence, max_lag: int, key) -> list:
-    """:func:`cal.best_lags` of ``columns``; the error of the first column
-    with no defined correlation is raised, under the config ``key``."""
+    """:func:`cal.best_lags` of ``columns``, the factors in ``FACTORS``
+    order; the error of the first column with no defined correlation is
+    raised under the config ``key`` that pinned the columns or, for a search
+    (``key`` None), under ``calibrate/<factor> lag search``."""
     results = cal.best_lags(columns, incidence, max_lag)
-    with _config_key(key):
-        for result in results:
-            if isinstance(result, CorrelationUndefinedError):
-                raise result
+    for factor, result in zip(FACTORS, results):
+        if isinstance(result, CorrelationUndefinedError):
+            where = key or f"calibrate/{factor} lag search"
+            raise type(result)(f"{where}: {result}")
     return results
 
 

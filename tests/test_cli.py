@@ -426,6 +426,23 @@ class TestCalibrate:
         code, _, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(tmp_path / "r"))
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("command", ["calibrate", "report"])
+    def test_a_search_error_names_its_factor(self, workspace, capsys, command):
+        """No mobility weight reaches the target, so its R_mob is 0 in every
+        month and has no correlation at any lag."""
+        tmp_path, data, _ = workspace
+        (tmp_path / "lone.csv").write_text("from,to,weight\nA,B,1\n")
+        cfg = synth_config(data)
+        cfg["inputs"]["mobility"] = str(tmp_path / "lone.csv")
+        cfg_path = tmp_path / "lone.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "r"
+        code, _, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+        assert (code, err) == (
+            1, "error: calibrate/mobility lag search: zero variance in at least one argument\n"
+        )
+        assert not out.exists()
+
     def test_too_fine_grid_is_one_line_error(self, workspace, capsys):
         tmp_path, data, _ = workspace
         cfg_path = tmp_path / "fine.yaml"
