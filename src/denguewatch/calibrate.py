@@ -67,32 +67,27 @@ def _lagged_pearson(xs: np.ndarray, y: np.ndarray, lags: int):
     :func:`pearson` gives it, for each lag k below ``lags``, and the count of
     paired months: two ``[lags, rows]`` arrays, r NaN where undefined.
 
-    Each (lag, mask group) block, its rows and then y, holding the months
-    both have, left-aligned, is one slab of a C-contiguous array. Each sum is
-    one reduction with a prefix mask: numpy hands a row's one run of months
+    Each (lag, row) pair with at least 3 paired months is one slab of a
+    C-contiguous ``[pairs, 2, months]`` array: its row, then the incidence,
+    each holding the months both have, in order, left-aligned. Each sum is
+    one reduction with a prefix mask: numpy hands a pair's one run of months
     to the pairwise sum a lone vector gets (zero padding would regroup it),
     so every r is bit-identical to one computed alone."""
     m, n = xs.shape
-    if not (np.isnan(xs).any() or np.isnan(y).any()):
-        count = np.arange(n, n - lags, -1)[:, None] + np.zeros(m, dtype=int)
-        z = np.empty((lags, m + 1, n))
-        z[:, :m] = xs  # past n - k the mask hides it
-        for k in range(lags):
-            z[k, m, : n - k] = y[k:]
-        blocks = np.arange(min(lags, max(n - 2, 0)))  # the lags with >= 3 months
-        size, z = n - blocks, z[: blocks.size]
-    else:
-        count, z = np.zeros((lags, m), dtype=int), np.zeros((lags, m, 2, n))
-        for k in range(lags):
-            for i, x in enumerate(xs[:, : n - k]):
-                keep = ~(np.isnan(x) | np.isnan(y[k:]))
-                count[k, i] = size = np.count_nonzero(keep)
-                z[k, i, :, :size] = x[keep], y[k:][keep]
-        blocks = np.flatnonzero(count >= 3)
-        size, z = count.ravel()[blocks], z.reshape(lags * m, 2, n)[blocks]
+    padded = np.append(y, np.full(lags, np.nan))  # at lag k, month t pairs with padded[t + k]
+    missing = np.isnan(padded)[np.arange(lags)[:, None] + np.arange(n)]
+    keep = ~(np.isnan(xs) | missing[:, None])
+    count = keep.sum(axis=-1)
     r = np.full((lags, m), np.nan)
-    if not (blocks.size and m):
+    defined = np.flatnonzero(count >= 3)
+    if not defined.size:
         return r, count
+    size = count.ravel()[defined]
+    lag, row = np.divmod(defined, m)
+    # each pair's kept months first, in order: a stable sort of ~keep
+    at = np.argsort(~keep.reshape(-1, n)[defined], axis=-1, kind="stable")[:, : size.max()]
+    z = np.empty((defined.size, 2, at.shape[1]))
+    z[:, 0], z[:, 1] = xs.ravel().take(row[:, None] * n + at), padded.take(lag[:, None] + at)
     pairs, months = size[:, None], z.shape[-1]
     mask = True if size.min() == months else np.arange(months) < pairs[:, :, None]
     mean = z.sum(axis=-1, keepdims=True, where=mask) / pairs[:, None]
@@ -100,16 +95,16 @@ def _lagged_pearson(xs: np.ndarray, y: np.ndarray, lags: int):
     e = c.sum(axis=-1, where=mask)
     cc = c * c
     ee = cc.sum(axis=-1, where=mask)
-    exy = np.multiply(c, c[:, -1:], out=cc)[:, :-1].sum(axis=-1, where=mask)
+    exy = np.multiply(c[:, :1], c[:, 1:], out=cc[:, :1]).sum(axis=-1, where=mask)[:, 0]
     # Corrected two-pass sums (Chan, Golub & LeVeque 1983): the subtracted
     # terms take out the rounding error of each mean, which dominates when
     # the spread is a few ulps of the mean; elsewhere they are below half
     # an ulp of the sum and change nothing.
     s = np.sqrt(np.maximum(ee - e * e / pairs, 0.0))
-    sxy = s[:, :-1] * s[:, -1:]  # 0 only where a factor is: sqrt(2**-1074)**2 is 2**-1074
+    sxy = s[:, 0] * s[:, 1]  # 0 only where a factor is: sqrt(2**-1074)**2 is 2**-1074
     rb = np.full(sxy.shape, np.nan)
-    np.divide(exy - e[:, :-1] * e[:, -1:] / pairs, sxy, out=rb, where=sxy != 0.0)
-    r.reshape(-1, rb.shape[1])[blocks] = np.minimum(np.maximum(rb, -1.0, out=rb), 1.0, out=rb)
+    np.divide(exy - e[:, 0] * e[:, 1] / size, sxy, out=rb, where=sxy != 0.0)
+    r.flat[defined] = np.minimum(np.maximum(rb, -1.0, out=rb), 1.0, out=rb)
     return r, count
 
 

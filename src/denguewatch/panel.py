@@ -14,12 +14,13 @@ control bytes, is read row by row by the csv module. One set of column
 checks follows either, so a file's values and error messages do not depend
 on which it took.
 
-A file of at least ``CACHE_MIN_BYTES`` that loads is cached by its content
-under ``$XDG_CACHE_HOME/denguewatch`` (``~/.cache/denguewatch`` when that is
-unset or not absolute): the arrays of its parse, beside its bytes. A later
-load of the same bytes by the same loader, parser and numpy version reads
-them back in place of the parse; any other load parses, and a cache that
-cannot be read or written changes nothing else.
+A file of at least ``CACHE_MIN_BYTES`` that loads is cached under
+``$XDG_CACHE_HOME/denguewatch`` (``~/.cache/denguewatch`` when that is unset
+or not absolute): the arrays of its parse, beside its bytes, in one entry per
+loader, which the next file that loader stores replaces. A later load of the
+same bytes by the same loader, parser and numpy version reads them back in
+place of the parse; any other load parses, and a cache that cannot be read or
+written changes nothing else.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import AlignmentError, IngestionError, ParameterError
+from .errors import AlignmentError, IngestionError, ParameterError, UsageError
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -259,13 +260,20 @@ _PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
 
 def read_file(path) -> bytes:
-    """The bytes of the file at ``path``, read once."""
+    """The bytes of the file at ``path``, read once. A path that does not
+    exist or is a directory raises :class:`FileNotFoundError`; any other OS
+    error, such as a name too long, a one-line :class:`UsageError`."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    if path.is_dir():
-        raise FileNotFoundError(f"not a file: {path}")
-    return path.read_bytes()
+    try:
+        if not path.exists():
+            fault = "no such file"
+        elif path.is_dir():
+            fault = "not a file"
+        else:
+            return path.read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    raise FileNotFoundError(f"{fault}: {path}")
 
 
 def read_csv(path, raw: Optional[bytes] = None):
@@ -304,9 +312,21 @@ def _lines(raw: bytes):
     yield from io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
 
+@contextlib.contextmanager
+def open_artifact(path):
+    """``path`` opened to write an artifact, as UTF-8 text with each newline
+    as written. An OS error opening or writing it, such as a directory in
+    the way, raises a one-line :class:`UsageError`."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path, header: list, rows) -> None:
     """Write an artifact CSV: UTF-8, the ``header`` row, then ``rows``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -587,8 +607,9 @@ def _parser_identity() -> str:
 
 class _CacheEntry:
     """The cached parse of an input file's bytes ``raw`` by ``loader``: an
-    ``.npz`` named by the loader and the bytes' CRC-32, holding the parse's
-    arrays, the region names, the bytes and the parser's identity. Only an
+    ``.npz`` named by the loader alone, holding the parse's arrays, the
+    region names, the bytes and the parser's identity. So the cache holds one
+    entry per loader, and storing another file's parse replaces it. Only an
     entry whose bytes and identity equal these is read, so a hit gives what
     the parse gave. A file below ``CACHE_MIN_BYTES`` or a cache directory
     that cannot be used has no entry."""
@@ -603,7 +624,7 @@ class _CacheEntry:
             base = Path(home) if os.path.isabs(home) else Path.home() / ".cache"
         except (OSError, RuntimeError):  # no source to name the parser, or no home directory
             return
-        self.path = base / "denguewatch" / f"{loader}-{zlib.crc32(raw):08x}.npz"
+        self.path = base / "denguewatch" / f"{loader}.npz"
 
     def load(self, build):
         """``build(**arrays)`` of the entry's arrays, read-only, or None when

@@ -38,6 +38,7 @@ from .panel import (
     align,
     load_mobility,
     load_series_table,
+    open_artifact,
     write_csv,
 )
 from .risk import (
@@ -262,10 +263,13 @@ def write_baseline_csv(months, fitted, predicted, path) -> None:
     write_csv(path, ["date", "D_fitted", "predicted_flag"], rows)
 
 
+def _write_text(text: str, path) -> None:
+    with open_artifact(path) as fh:
+        fh.write(text)
+
+
 def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 @dataclass
@@ -300,7 +304,7 @@ _ARTIFACTS = {
     "calibration.json": lambda run: partial(_write_json, run.calibration.to_dict()),
     "risk.csv": lambda run: partial(write_risk_csv, run.series),
     "flagged.csv": lambda run: partial(write_flagged_csv, run.flagged),
-    "objective_space.svg": lambda run: partial(Path.write_text, data=run.svg, encoding="utf-8"),
+    "objective_space.svg": lambda run: partial(_write_text, run.svg),
     "baseline.csv": lambda run: partial(write_baseline_csv, *run.baseline[1:]),
     "evaluation.json": lambda run: run.evaluation and partial(_write_json, run.evaluation),
 }

@@ -13,7 +13,7 @@ from denguewatch.calibrate import CutoffResult, exponents_from_correlations, pea
 from denguewatch.cli import main
 from denguewatch.config import default_config, load_config
 from denguewatch.errors import CorrelationUndefinedError
-from denguewatch.pipeline import load_panel, membership_functions
+from denguewatch.pipeline import SUBCOMMANDS, load_panel, membership_functions
 from denguewatch.risk import FACTORS, target_columns
 
 
@@ -976,6 +976,94 @@ class TestOutPathIsAFile:
         assert code == 2
         assert err == f"error: cannot create --out directory {blocker}: File exists\n"
         assert blocker.read_text() == "keep\n"
+
+
+
+class TestPathFaults:
+    """Any other OS error on an input or artifact path is one line and exit 2
+    as well: ``cannot read PATH: reason`` or ``cannot write PATH: reason``.
+    A file without read permission takes the same path, but a test run as
+    root reads any file, so that case is not tested here."""
+
+    LONG = "x" * 5000  # one path component past any file system's limit
+
+    @pytest.mark.parametrize(
+        "key", ["rainfall", "temperature", "humidity", "incidence", "susceptible", "population",
+                "mobility", "actual_outbreaks"],
+    )
+    def test_an_input_name_too_long(self, workspace, capsys, key):
+        tmp_path, data, _ = workspace
+        path, out = tmp_path / self.LONG, tmp_path / "r"
+        cfg = synth_config(data)
+        cfg["inputs"][key] = str(path)
+        cfg_path = tmp_path / "long.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        code, stdout, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot read {path}: File name too long\n"
+        assert not out.exists()
+
+    def test_a_config_name_too_long(self, tmp_path, capsys):
+        path = tmp_path / self.LONG
+        code, _, err = run(capsys, "--config", str(path), "calibrate", "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, f"error: cannot read {path}: File name too long\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argument", ["--predictions", "--actual"])
+    def test_a_calendar_name_too_long(self, workspace, capsys, argument):
+        tmp_path, data, _ = workspace
+        path, out = tmp_path / self.LONG, tmp_path / "ev"
+        calendars = {"--predictions": str(data / "outbreaks.csv"), "--actual": str(data / "outbreaks.csv")}
+        calendars[argument] = str(path)
+        code, _, err = run(capsys, "evaluate", "--out", str(out), *sum(calendars.items(), ()))
+        assert (code, err) == (2, f"error: cannot read {path}: File name too long\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("calibrate", "calibration.json"),
+            ("detect", "risk.csv"),
+            ("detect", "objective_space.svg"),
+            ("baseline", "baseline.csv"),
+            ("report", "calibration.json"),
+            ("report", "objective_space.svg"),
+            ("report", "baseline.csv"),
+            ("report", "evaluation.json"),
+        ],
+    )
+    def test_a_directory_in_the_way_of_an_artifact(self, workspace, capsys, command, blocked):
+        """The files written before the fault stay, whole."""
+        tmp_path, _, cfg_path = workspace
+        full, out = tmp_path / "full", tmp_path / "o"
+        assert run(capsys, "--config", str(cfg_path), command, "--out", str(full))[0] == 0
+        (out / blocked).mkdir(parents=True)
+        code, stdout, err = run(capsys, "--config", str(cfg_path), command, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out / blocked}: Is a directory\n"
+        names = list(SUBCOMMANDS[command][0])  # in the order they are written
+        written = sorted(p.name for p in out.iterdir() if p.is_file())
+        assert written == sorted(names[: names.index(blocked)])
+        for name in written:
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        (out / "rainfall.csv").mkdir(parents=True)
+        code, stdout, err = run(capsys, "synth", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out / 'rainfall.csv'}: Is a directory\n"
+
+    def test_evaluate(self, workspace, capsys):
+        tmp_path, data, _ = workspace
+        out = tmp_path / "ev"
+        (out / "evaluation.json").mkdir(parents=True)
+        code, stdout, err = run(
+            capsys, "evaluate", "--out", str(out),
+            "--predictions", str(data / "outbreaks.csv"), "--actual", str(data / "outbreaks.csv"),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out / 'evaluation.json'}: Is a directory\n"
 
 
 def test_report_imports_neither_synth_nor_numpy_ma(workspace):

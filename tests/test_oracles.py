@@ -9,6 +9,7 @@ import pytest
 from denguewatch.baseline import GlmCoefficients, predict_and_extract
 from denguewatch.calibrate import (
     LagResult,
+    _lagged_pearson,
     best_lags,
     estimate_exponents,
     exponents_from_correlations,
@@ -21,7 +22,9 @@ from denguewatch.fuzzy import (
     rainfall_mf_from_cutoffs,
     temperature_mf_default,
 )
-from denguewatch.panel import MobilityMatrix, MonthIndex, MonthlySeries, Panel, Variable, align
+from denguewatch.panel import (
+    MobilityMatrix, MonthIndex, MonthlySeries, Panel, Variable, align, shift,
+)
 from denguewatch.risk import Calibration, Lags, MembershipFunctions, objective_space
 
 from reference import (
@@ -209,6 +212,21 @@ class TestMaskedLagPass:
                 for r in best_lags(*lag_case(kind, seed)):
                     found.add(str(r).split()[0] if isinstance(r, Exception) else "defined")
         assert found == {"defined", "need", "zero"}
+
+    @pytest.mark.parametrize("kind", LAG_KINDS)
+    def test_a_padded_row_is_the_row_at_that_lag(self, kind):
+        """A row padded by ``shift(row, a)`` and correlated at lag 0 gives the
+        r and count of the row searched at lag a, bit for bit: a pinned lag
+        is scored as the search scores it as a candidate."""
+        for seed in range(40):
+            factors, inc, _ = lag_case(kind, seed)
+            xs, n = np.array(factors).reshape(len(factors), inc.size), inc.size
+            r, count = _lagged_pearson(xs, inc, min(n, 7) + 1)
+            for a in range(min(n, 7) + 1):
+                padded = np.array([shift(row, a) for row in xs]).reshape(xs.shape)
+                r0, count0 = _lagged_pearson(padded, inc, 1)
+                assert count0[0].tolist() == count[a].tolist(), (seed, a)
+                assert np.array_equal(r0[0], r[a], equal_nan=True), (seed, a)
 
 
 def risk_case(kind, seed):

@@ -139,6 +139,23 @@ def test_the_floor_is_inclusive(national, parse_cache, monkeypatch, short):
     assert len(list(parse_cache.glob("*.npz"))) == 1 - short
 
 
+def test_another_file_of_a_kind_replaces_its_entry(quick_start, parse_cache, monkeypatch):
+    """One entry per loader, so the cache holds one input set at most: a load
+    of other bytes of the same kind replaces the entry, and the first file,
+    loaded again, is parsed again to the same values."""
+    first = load_all(quick_start["plain"])
+    load_all(quick_start["quoted-crlf"])  # every file's bytes differ
+    loaders = [variable.value for variable in INPUT_VARIABLES.values()] + ["mobility"]
+    assert sorted(p.name for p in parse_cache.iterdir()) == sorted(f"{k}.npz" for k in loaders)
+    calls = []
+    columns = panel._columns
+    monkeypatch.setattr(
+        panel, "_columns", lambda *args, **kw: calls.append(1) or columns(*args, **kw)
+    )
+    assert_same(load_all(quick_start["plain"]), first)
+    assert len(calls) == 7
+
+
 def report(data, out, region=None, outbreaks="outbreaks"):
     """``report`` on the panel in ``data``: its exit code and artifacts."""
     cfg = {"inputs": {stem: str(data / f"{stem}.csv") for stem in INPUT_VARIABLES}}
@@ -194,7 +211,7 @@ def flip_a_bit(entry, raw):
 def test_a_spoiled_entry_is_parsed_again_and_rewritten(quick_start, parse_cache, spoil):
     data = quick_start["plain"]
     missed = load_all(data)
-    entry, = parse_cache.glob("mobility-*.npz")
+    entry, = parse_cache.glob("mobility.npz")
     stored = entry.read_bytes()
     entry.write_bytes(spoil(stored, (data / "mobility.csv").read_bytes()))
     assert_same(load_all(data), missed)
