@@ -8,7 +8,6 @@ counts) by ordinary least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +28,6 @@ COLUMN_NAMES = (
 DEFAULT_THRESHOLD_QUANTILE = 0.85
 
 _MIN_ROWS = 8
-
-
-@dataclass(frozen=True)
-class GlmCoefficients:
-    values: tuple  # b0..b6, aligned with COLUMN_NAMES
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(COLUMN_NAMES):
-            raise ParameterError(f"expected {len(COLUMN_NAMES)} coefficients")
-        if not all(np.isfinite(vals)):
-            raise ParameterError("coefficients must be finite")
 
 
 def build_design(panel: Panel, lags: Lags, region: str):
@@ -66,11 +52,12 @@ def build_design(panel: Panel, lags: Lags, region: str):
     return design[keep], response[keep], months
 
 
-def fit_ols(design: np.ndarray, response: np.ndarray) -> GlmCoefficients:
-    """Least-squares fit via QR; rejects rank-deficient designs.
+def fit_ols(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients via QR, aligned with ``COLUMN_NAMES``;
+    rejects rank-deficient designs and non-finite coefficients.
 
-    On rank deficiency the error names the columns whose R diagonal
-    collapsed (the collinear ones).
+    A column is collinear when its R diagonal collapses against the column's
+    own norm, whatever its units; the error names the collinear ones.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -79,18 +66,16 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> GlmCoefficients:
             f"design must have {len(COLUMN_NAMES)} columns, got shape {design.shape}"
         )
     q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    scale = max(diag.max(), 1.0)
-    bad = diag <= scale * design.shape[0] * np.finfo(float).eps * 1e3
+    # Column k of R has the norm of column k of the design; hypot cannot overflow.
+    norm = np.hypot.reduce(r, axis=0)
+    bad = np.abs(np.diag(r)) <= norm * (design.shape[0] * np.finfo(float).eps * 1e3)
     if bad.any():
         names = [COLUMN_NAMES[i] for i in np.nonzero(bad)[0]]
         raise SingularDesignError(f"design is rank deficient; collinear columns: {', '.join(names)}")
     coeffs = np.linalg.solve(r, q.T @ response)
-    return GlmCoefficients(tuple(coeffs))
-
-
-def fitted_values(coeffs: GlmCoefficients, design: np.ndarray) -> np.ndarray:
-    return np.asarray(design, dtype=float) @ np.array(coeffs.values)
+    if not np.isfinite(coeffs).all():
+        raise ParameterError("coefficients must be finite")
+    return coeffs
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -106,31 +91,19 @@ def _quantile(values: np.ndarray, q: float) -> float:
 
 
 def predict_and_extract(
-    coeffs: GlmCoefficients,
-    design: np.ndarray,
-    months,
-    threshold_quantile: float = DEFAULT_THRESHOLD_QUANTILE,
+    fitted, months, threshold_quantile: float = DEFAULT_THRESHOLD_QUANTILE
 ) -> list:
-    """Months where the fitted incidence spikes.
-
-    A month is predicted iff its fitted value exceeds the given quantile of
-    all fitted values and is a local maximum over a +-1-month window.
+    """The months where ``fitted``, the fitted incidence of each of ``months``,
+    spikes: over the given quantile of all fitted values, and a local maximum
+    over a +-1-month window with -inf past either end.
     """
     if not 0 < threshold_quantile < 1:
-        raise ParameterError(
-            f"threshold_quantile must lie in (0, 1), got {threshold_quantile}"
-        )
-    d = fitted_values(coeffs, design)
+        raise ParameterError(f"threshold_quantile must lie in (0, 1), got {threshold_quantile}")
+    d = np.asarray(fitted, dtype=float)
     if len(d) != len(months):
-        raise ParameterError("design rows and months disagree")
-    threshold = _quantile(d, threshold_quantile)
-    d = d.tolist()
-    predicted = []
-    for i, t in enumerate(months):
-        if d[i] <= threshold:
-            continue
-        left = d[i - 1] if i > 0 else -math.inf
-        right = d[i + 1] if i < len(d) - 1 else -math.inf
-        if d[i] >= left and d[i] >= right and (d[i] > left or d[i] > right):
-            predicted.append(t)
-    return predicted
+        raise ParameterError("fitted values and months disagree")
+    padded = np.concatenate(([-math.inf], d, [-math.inf]))
+    left, right = padded[:-2], padded[2:]
+    over = ~(d <= _quantile(d, threshold_quantile))  # a NaN threshold passes every month
+    flag = over & (d >= left) & (d >= right) & ((d > left) | (d > right))
+    return [months[i] for i in np.flatnonzero(flag).tolist()]

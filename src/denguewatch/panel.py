@@ -260,17 +260,17 @@ _PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 
 
 def read_file(path) -> bytes:
-    """The bytes of the file at ``path``, read once. A path that does not
-    exist or is a directory raises :class:`FileNotFoundError`; any other OS
-    error, such as a name too long, a one-line :class:`UsageError`."""
+    """The bytes of the file at ``path``, read once. A path with no file
+    behind it, or a directory, raises :class:`FileNotFoundError`; any other
+    OS error, such as a symlink loop or a name too long, a one-line
+    :class:`UsageError`."""
     path = Path(path)
     try:
-        if not path.exists():
-            fault = "no such file"
-        elif path.is_dir():
-            fault = "not a file"
-        else:
-            return path.read_bytes()
+        return path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        fault = "no such file"
+    except IsADirectoryError:
+        fault = "not a file"
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     raise FileNotFoundError(f"{fault}: {path}")

@@ -197,15 +197,12 @@ def detect(panel: Panel, cfg: dict, calibration: Calibration):
 
 
 def run_baseline(panel: Panel, cfg: dict, calibration: Calibration):
-    region = cfg["region"]
-    design, response, months = bl.build_design(panel, calibration.lags, region)
-    coeffs = bl.fit_ols(design, response)
-    fitted = bl.fitted_values(coeffs, design)
+    """The baseline's months, its fitted incidence and the months it flags."""
+    design, response, months = bl.build_design(panel, calibration.lags, cfg["region"])
+    fitted = design @ bl.fit_ols(design, response)
     with _config_key("baseline", "threshold_quantile"):
-        predicted = bl.predict_and_extract(
-            coeffs, design, months, cfg["baseline"]["threshold_quantile"]
-        )
-    return coeffs, months, fitted, predicted
+        predicted = bl.predict_and_extract(fitted, months, cfg["baseline"]["threshold_quantile"])
+    return months, fitted, predicted
 
 
 def evaluation_payload(cfg: dict, actual, months, **predicted) -> dict:
@@ -294,7 +291,7 @@ class _Run:
             return None
         return evaluation_payload(
             self.cfg, load_calendar(path), [m.t for m in self.series.months],
-            multicriteria=[f.t for f in self.flagged], baseline=self.baseline[3],
+            multicriteria=[f.t for f in self.flagged], baseline=self.baseline[2],
         )
 
 
@@ -305,7 +302,7 @@ _ARTIFACTS = {
     "risk.csv": lambda run: partial(write_risk_csv, run.series),
     "flagged.csv": lambda run: partial(write_flagged_csv, run.flagged),
     "objective_space.svg": lambda run: partial(_write_text, run.svg),
-    "baseline.csv": lambda run: partial(write_baseline_csv, *run.baseline[1:]),
+    "baseline.csv": lambda run: partial(write_baseline_csv, *run.baseline),
     "evaluation.json": lambda run: run.evaluation and partial(_write_json, run.evaluation),
 }
 
@@ -318,7 +315,7 @@ SUBCOMMANDS = {
     ),
     "baseline": (
         ("baseline.csv",),
-        lambda run, out: f"predicted {len(run.baseline[3])} month(s); artifacts in {out}",
+        lambda run, out: f"predicted {len(run.baseline[2])} month(s); artifacts in {out}",
     ),
     "report": (
         tuple(_ARTIFACTS),

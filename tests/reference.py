@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from denguewatch.baseline import _quantile, fitted_values
+from denguewatch.baseline import _quantile
 from denguewatch.calibrate import LagResult
 from denguewatch.errors import (
     CorrelationUndefinedError,
@@ -336,10 +336,10 @@ def reference_objective_space(
     return RiskSeries(region=region, months=months, skipped=skipped)
 
 
-def reference_predict_and_extract(coeffs, design, months, threshold_quantile) -> list:
+def reference_predict_and_extract(fitted, months, threshold_quantile) -> list:
     """The months whose fitted value is over the quantile and a local peak,
     scanned over numpy scalars."""
-    d = fitted_values(coeffs, design)
+    d = np.asarray(fitted, dtype=float)
     threshold = _quantile(d, threshold_quantile)
     predicted = []
     for i, t in enumerate(months):

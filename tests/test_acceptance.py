@@ -157,12 +157,12 @@ def test_criterion_6_ols_correctness():
         x = np.column_stack([np.ones(n), rng.normal(size=(n, len(COLUMN_NAMES) - 1))])
         y = rng.normal(size=n)
         oracle = np.linalg.solve(x.T @ x, x.T @ y)
-        got = np.array(fit_ols(x, y).values)
+        got = fit_ols(x, y)
         np.testing.assert_allclose(got, oracle, rtol=1e-6, atol=1e-9)
 
     x = np.column_stack([np.ones(60), rng.normal(size=(60, 6))])
     beta = np.array([12.0, -3.0, 0.4, 7.5, -0.02, 1.0, 2.5])
-    got = np.array(fit_ols(x, x @ beta).values)
+    got = fit_ols(x, x @ beta)
     np.testing.assert_allclose(got, beta, atol=1e-8)
     print("PASS criterion 6: OLS matches normal equations (1e-6) and recovers planted coefficients (1e-8)")
 

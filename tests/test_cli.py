@@ -987,37 +987,78 @@ class TestPathFaults:
 
     LONG = "x" * 5000  # one path component past any file system's limit
 
+    TOO_LONG = "File name too long"
+    LOOP = "Too many levels of symbolic links"
+
+    @staticmethod
+    def symlink_loop(tmp_path):
+        path = tmp_path / "loop-a"
+        path.symlink_to(tmp_path / "loop-b")
+        (tmp_path / "loop-b").symlink_to(path)
+        return path
+
+    @staticmethod
+    def assert_input_fault(workspace, capsys, key, path, reason):
+        tmp_path, data, _ = workspace
+        out = tmp_path / "r"
+        cfg = synth_config(data)
+        cfg["inputs"][key] = str(path)
+        cfg_path = tmp_path / "fault.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        code, stdout, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot read {path}: {reason}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def assert_config_fault(tmp_path, capsys, path, reason):
+        code, _, err = run(capsys, "--config", str(path), "calibrate", "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, f"error: cannot read {path}: {reason}\n")
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def assert_calendar_fault(workspace, capsys, argument, path, reason):
+        tmp_path, data, _ = workspace
+        out = tmp_path / "ev"
+        calendars = {"--predictions": str(data / "outbreaks.csv"), "--actual": str(data / "outbreaks.csv")}
+        calendars[argument] = str(path)
+        code, _, err = run(capsys, "evaluate", "--out", str(out), *sum(calendars.items(), ()))
+        assert (code, err) == (2, f"error: cannot read {path}: {reason}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key", ["rainfall", "temperature", "humidity", "incidence", "susceptible", "population",
                 "mobility", "actual_outbreaks"],
     )
     def test_an_input_name_too_long(self, workspace, capsys, key):
-        tmp_path, data, _ = workspace
-        path, out = tmp_path / self.LONG, tmp_path / "r"
-        cfg = synth_config(data)
-        cfg["inputs"][key] = str(path)
-        cfg_path = tmp_path / "long.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        code, stdout, err = run(capsys, "--config", str(cfg_path), "report", "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert err == f"error: cannot read {path}: File name too long\n"
-        assert not out.exists()
+        self.assert_input_fault(workspace, capsys, key, workspace[0] / self.LONG, self.TOO_LONG)
 
     def test_a_config_name_too_long(self, tmp_path, capsys):
-        path = tmp_path / self.LONG
-        code, _, err = run(capsys, "--config", str(path), "calibrate", "--out", str(tmp_path / "o"))
-        assert (code, err) == (2, f"error: cannot read {path}: File name too long\n")
-        assert not (tmp_path / "o").exists()
+        self.assert_config_fault(tmp_path, capsys, tmp_path / self.LONG, self.TOO_LONG)
 
     @pytest.mark.parametrize("argument", ["--predictions", "--actual"])
     def test_a_calendar_name_too_long(self, workspace, capsys, argument):
-        tmp_path, data, _ = workspace
-        path, out = tmp_path / self.LONG, tmp_path / "ev"
-        calendars = {"--predictions": str(data / "outbreaks.csv"), "--actual": str(data / "outbreaks.csv")}
-        calendars[argument] = str(path)
-        code, _, err = run(capsys, "evaluate", "--out", str(out), *sum(calendars.items(), ()))
-        assert (code, err) == (2, f"error: cannot read {path}: File name too long\n")
-        assert not out.exists()
+        self.assert_calendar_fault(workspace, capsys, argument, workspace[0] / self.LONG, self.TOO_LONG)
+
+    def test_an_input_symlink_loop(self, workspace, capsys):
+        self.assert_input_fault(workspace, capsys, "rainfall", self.symlink_loop(workspace[0]), self.LOOP)
+
+    def test_a_config_symlink_loop(self, tmp_path, capsys):
+        self.assert_config_fault(tmp_path, capsys, self.symlink_loop(tmp_path), self.LOOP)
+
+    def test_a_calendar_symlink_loop(self, workspace, capsys):
+        self.assert_calendar_fault(workspace, capsys, "--actual", self.symlink_loop(workspace[0]), self.LOOP)
+
+    @pytest.mark.parametrize("kind", ["dangling-symlink", "under-a-file"])
+    def test_no_file_behind_the_path(self, tmp_path, capsys, kind):
+        if kind == "dangling-symlink":
+            path = tmp_path / "dangling"
+            path.symlink_to(tmp_path / "nowhere")
+        else:
+            (tmp_path / "file.csv").write_text("date\n")
+            path = tmp_path / "file.csv" / "x"
+        code, _, err = run(capsys, "--config", str(path), "calibrate", "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, f"error: no such file: {path}\n")
 
     @pytest.mark.parametrize(
         "command, blocked",

@@ -4,15 +4,17 @@ process on the quick-start panel, noiseless (seed 1) and at noise_scale 0.01
 or with a changed config.
 
 - Shuffling the data rows of every input CSV changes no artifact byte.
-- Multiplying incidence, susceptible and population by 2**3 changes no
-  artifact byte but ``baseline.csv``: there the predicted months stay the
-  same and the fitted incidence scales by 8. Every ratio the model reads
-  (S/N, I/I_peak, I/N behind the mobility weights) and every correlation is
-  unchanged, and a power of two scales a float exactly.
-- Multiplying every mobility weight by 2**3 changes no artifact byte but
-  ``mobility_c`` in ``calibration.json``, which becomes exactly 8 times the
-  original: R_mob and its normalizer scale together, so the mobility
-  membership and every correlation are unchanged.
+- Multiplying incidence, susceptible and population by 2**3, or by 2**40,
+  changes no artifact byte but ``baseline.csv``: there the predicted months
+  stay the same and the fitted incidence scales by the factor. Every ratio
+  the model reads (S/N, I/I_peak, I/N behind the mobility weights) and every
+  correlation is unchanged, and a power of two scales a float exactly. At
+  2**40 the count columns of the baseline's design outgrow its mobility
+  column by about 1e16, so its collinearity test must not depend on units.
+- Multiplying every mobility weight by 2**3, or by 2**-40, changes no
+  artifact byte but ``mobility_c`` in ``calibration.json``, which becomes
+  exactly the factor times the original: R_mob and its normalizer scale
+  together, so the mobility membership and every correlation are unchanged.
 - Adding a bystander region ``AA``, which sorts before the others, with six
   series of its own over the target's span and weight-0 mobility rows to
   and from every region, changes no artifact byte.
@@ -29,15 +31,19 @@ or with a changed config.
   writes it. Either sends each file through the csv module, not the
   tokeniser of plain files.
 
-Three relations run on targets of the benchmark's national panel
-(``bench/gen.py``, 200 regions). Mobility weights × 2**3 on T017 and T042,
-where R_mob sums 199 terms, and quoted fields with CRLF line ends on T042,
-whose input files hold up to 39,800 rows, hold as above. Renaming every
-region so that the sorted order of the names reverses, on T017 and T042,
-keeps the lags, the cutoffs, the flags and the ranks, and moves every other
-number by at most ``RENAMED_REL_TOL``. R_mob sums the feeders' terms in
-region-name order, the one order the model depends on, so a new order may
-move the last bits of ``mobility_c`` and of what is computed from it.
+The relations also run on targets of the benchmark's national panel
+(``bench/gen.py`` seed 1, 200 regions). On T042, whose input files hold up
+to 39,800 rows, shuffled rows, counts × 2**3, a bystander region with
+weight-0 rows to and from all 200, every found value pinned, dates moved 30
+years, quoted fields with CRLF line ends and a BOM hold as above; so does
+mobility × 2**3 on T017 and T042, where R_mob sums 199 terms. The national
+cases take about 5 s of the module's 7 s, most of it rewriting and parsing
+the large files. Renaming every region so that the sorted order of the
+names reverses, on T017 and T042, keeps the lags, the cutoffs, the flags and
+the ranks, and moves every other number by at most ``RENAMED_REL_TOL``.
+R_mob sums the feeders' terms in region-name order, the one order the model
+depends on, so a new order may move the last bits of ``mobility_c`` and of
+what is computed from it.
 """
 
 import csv
@@ -58,7 +64,6 @@ from denguewatch.pipeline import INPUT_VARIABLES
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-INPUTS = (*INPUT_VARIABLES, "mobility", "outbreaks")
 SCALED = ("incidence", "susceptible", "population")
 TARGET = "WP"  # the region of the default config
 ARTIFACTS = ("calibration.json", "risk.csv", "flagged.csv", "objective_space.svg",
@@ -116,25 +121,29 @@ def panel(request, tmp_path_factory):
     return root, data, report(root, data, "original")
 
 
-def test_row_order_changes_no_byte(panel):
-    root, data, original = panel
+def every_csv(data):
+    return [path.stem for path in data.glob("*.csv")]
 
+
+def rows_shuffled(root, data, original, **on_target):
     def shuffled(rows):
         random.Random(len(rows)).shuffle(rows)
         return rows
 
-    rewrite(data, root / "shuffled", INPUTS, shuffled)
-    assert report(root, root / "shuffled", "shuffled-report") == original
+    rewrite(data, root / "shuffled", every_csv(data), shuffled)
+    assert report(root, root / "shuffled", "shuffled-report", **on_target) == original
 
 
-def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
-    root, data, original = panel
+def test_row_order_changes_no_byte(panel):
+    rows_shuffled(*panel)
 
-    def times_eight(rows):
-        return [[region, t, value and repr(8 * float(value))] for region, t, value in rows]
 
-    rewrite(data, root / "scaled", SCALED, times_eight)
-    scaled = report(root, root / "scaled", "scaled-report")
+def counts_scaled(root, data, original, factor, **on_target):
+    def scaled_rows(rows):
+        return [[region, t, value and repr(factor * float(value))] for region, t, value in rows]
+
+    rewrite(data, root / f"scaled-{factor}", SCALED, scaled_rows)
+    scaled = report(root, root / f"scaled-{factor}", f"scaled-{factor}-report", **on_target)
     assert {f: b for f, b in scaled.items() if f != "baseline.csv"} == {
         f: b for f, b in original.items() if f != "baseline.csv"
     }
@@ -144,46 +153,55 @@ def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
     assert len(rows[0]) == len(rows[1]) > 1
     for (t, d, flag), (t8, d8, flag8) in zip(rows[0][1:], rows[1][1:]):
         assert (t8, flag8) == (t, flag)
-        assert math.isclose(float(d8), 8 * float(d), rel_tol=1e-10, abs_tol=0.0), t
+        assert math.isclose(float(d8), factor * float(d), rel_tol=1e-10, abs_tol=0.0), t
 
 
-def mobility_times_eight(root, data, original, **on_target):
-    def times_eight(rows):
-        return [[source, target, repr(8 * float(w))] for source, target, w in rows]
+def test_counts_times_eight_scale_only_the_fitted_incidence(panel):
+    counts_scaled(*panel, 2**3)
+    counts_scaled(*panel, 2**40)
 
-    rewrite(data, root / "busier", ("mobility",), times_eight)
-    busier = report(root, root / "busier", "busier-report", **on_target)
+
+def mobility_scaled(root, data, original, factor, **on_target):
+    def scaled_rows(rows):
+        return [[source, target, repr(factor * float(w))] for source, target, w in rows]
+
+    rewrite(data, root / f"busier-{factor}", ("mobility",), scaled_rows)
+    busier = report(root, root / f"busier-{factor}", f"busier-{factor}-report", **on_target)
     c = json.loads(original["calibration.json"])["mobility_c"]
     text = original["calibration.json"].decode()
-    before, after = (f'"mobility_c": {v!r}' for v in (c, 8 * c))
+    before, after = (f'"mobility_c": {v!r}' for v in (c, factor * c))
     assert text.count(before) == 1
     assert busier == {**original, "calibration.json": text.replace(before, after).encode()}
 
 
 def test_mobility_times_eight_scales_only_the_normalizer(panel):
-    mobility_times_eight(*panel)
+    mobility_scaled(*panel, 2**3)
+    mobility_scaled(*panel, 2**-40)
 
 
-def test_a_bystander_region_changes_no_byte(panel):
-    root, data, original = panel
-    regions = ("AA", "NB", TARGET)
+def with_bystander(root, data, original, region=TARGET, **on_target):
+    with open(data / "incidence.csv", newline="") as fh:
+        regions = sorted({row[0] for row in list(csv.reader(fh))[1:]})
 
-    def with_bystander(rows):
-        target = [row for row in rows if row[0] == TARGET]
+    def bystander(rows):
+        target = [row for row in rows if row[0] == region]
         values = [value for _, _, value in reversed(target)]
         return rows + [["AA", t, value] for (_, t, _), value in zip(target, values)]
 
-    rewrite(data, root / "bystander", INPUT_VARIABLES, with_bystander)
+    rewrite(data, root / "bystander", INPUT_VARIABLES, bystander)
     with open(root / "bystander" / "mobility.csv", "a", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(
-            [["AA", j, "0"] for j in regions] + [[i, "AA", "0"] for i in regions[1:]]
+            [["AA", j, "0"] for j in ["AA", *regions]] + [[i, "AA", "0"] for i in regions]
         )
-    assert report(root, root / "bystander", "bystander-report") == original
+    again = report(root, root / "bystander", "bystander-report", region=region, **on_target)
+    assert again == original
 
 
-@pytest.mark.parametrize("pinned", ["lags", "cutoffs", "all"])
-def test_pinning_the_values_found_changes_no_byte(panel, pinned):
-    root, data, original = panel
+def test_a_bystander_region_changes_no_byte(panel):
+    with_bystander(*panel)
+
+
+def pinned_values(root, data, original, pinned, **on_target):
     found = json.loads(original["calibration.json"])
     band = [found["rainfall_cutoffs"]["r_min"], found["rainfall_cutoffs"]["r_max"]]
     sections = {
@@ -195,19 +213,26 @@ def test_pinning_the_values_found_changes_no_byte(panel, pinned):
             "risk": {"mobility_c": found["mobility_c"]},
         },
     }[pinned]
-    assert report(root, data, f"pinned-{pinned}", **sections) == original
+    assert report(root, data, f"pinned-{pinned}", **sections, **on_target) == original
 
 
-def test_dates_thirty_years_later_change_no_byte(panel):
-    root, data, original = panel
+@pytest.mark.parametrize("pinned", ["lags", "cutoffs", "all"])
+def test_pinning_the_values_found_changes_no_byte(panel, pinned):
+    pinned_values(*panel, pinned)
 
+
+def dates_moved(root, data, original, **on_target):
     def later(rows):
         return [[moved(cell, 30) for cell in row] for row in rows]
 
-    rewrite(data, root / "later", INPUTS, later)
-    shifted = report(root, root / "later", "later-report")
+    rewrite(data, root / "later", every_csv(data), later)
+    shifted = report(root, root / "later", "later-report", **on_target)
     assert shifted["risk.csv"] != original["risk.csv"]
     assert {f: moved(b.decode(), -30).encode() for f, b in shifted.items()} == original
+
+
+def test_dates_thirty_years_later_change_no_byte(panel):
+    dates_moved(*panel)
 
 
 def quoted_with_crlf(root, data, original, **on_target):
@@ -220,11 +245,14 @@ def test_quoted_fields_and_crlf_change_no_byte(panel):
     quoted_with_crlf(*panel)
 
 
-def test_a_leading_byte_order_mark_changes_no_byte(panel):
-    root, data, original = panel
+def byte_order_mark(root, data, original, **on_target):
     rewrite(data, root / "bom", encoding="utf-8-sig")
-    assert (root / "bom" / "outbreaks.csv").read_bytes().startswith(b"\xef\xbb\xbf")
-    assert report(root, root / "bom", "bom-report") == original
+    assert (root / "bom" / "mobility.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert report(root, root / "bom", "bom-report", **on_target) == original
+
+
+def test_a_leading_byte_order_mark_changes_no_byte(panel):
+    byte_order_mark(*panel)
 
 
 #: Bound on the relative change of any number in the artifacts of a run on
@@ -307,9 +335,22 @@ def test_renamed_regions_move_only_the_last_bits(national, national_target, targ
 @pytest.mark.parametrize("target", ["T017", "T042"])
 def test_mobility_times_eight_on_national_targets(national_target, target):
     *case, on_target = national_target(target)
-    mobility_times_eight(*case, **on_target)
+    mobility_scaled(*case, 2**3, **on_target)
 
 
 def test_quoted_fields_and_crlf_on_a_national_target(national_target):
     *case, on_target = national_target("T042")
     quoted_with_crlf(*case, **on_target)
+
+
+@pytest.mark.parametrize("relation", [
+    rows_shuffled,
+    functools.partial(counts_scaled, factor=2**3),
+    with_bystander,
+    functools.partial(pinned_values, pinned="all"),
+    dates_moved,
+    byte_order_mark,
+], ids=["shuffled", "counts-times-eight", "bystander", "pinned", "dates-moved", "bom"])
+def test_relations_on_a_national_target(national_target, relation):
+    *case, on_target = national_target("T042")
+    relation(*case, **on_target)

@@ -6,7 +6,7 @@ rows at all, and spikes in the first and last month."""
 import numpy as np
 import pytest
 
-from denguewatch.baseline import GlmCoefficients, predict_and_extract
+from denguewatch.baseline import predict_and_extract
 from denguewatch.calibrate import (
     LagResult,
     _lagged_pearson,
@@ -293,22 +293,19 @@ class TestObjectiveSpace:
 
 
 def fitted_case(kind, seed):
-    """Seeded (coefficients, design, months, quantile) whose fitted values
-    have the features of ``kind``, ties and plateaus included."""
+    """Seeded (fitted values, months, quantile) whose fitted values have the
+    features of ``kind``, ties and plateaus included."""
     rng = np.random.default_rng([seed, KINDS.index(kind), 2])
     n = int(rng.integers(1, 4)) if kind == "short" else int(rng.integers(8, 120))
     values = rng.integers(0, 6, size=(1, n)).astype(float)  # plateaus and ties
     if seed % 2:
         values += rng.normal(size=n)
     apply_kind(kind, rng, values, np.zeros(n))
-    design = np.zeros((n, 7))
-    design[:, 0] = values[0]
-    coeffs = GlmCoefficients((1.0,) + (0.0,) * 6)
+    fitted = values[0]
     if seed % 3 == 0 and kind == "plain":  # a fitted design
-        design = rng.normal(size=(n, 7))
-        coeffs = GlmCoefficients(tuple(rng.normal(size=7)))
+        fitted = rng.normal(size=(n, 7)) @ rng.normal(size=7)
     months = [START + k for k in range(n)]
-    return coeffs, design, months, float(rng.choice([0.05, 0.5, 0.85, 0.95]))
+    return fitted, months, float(rng.choice([0.05, 0.5, 0.85, 0.95]))
 
 
 class TestPredictAndExtract:
